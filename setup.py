@@ -1,38 +1,20 @@
 """Build script for the optional C counting kernel.
 
-With Cython installed, the kernel is compiled from ``fast.pyx``. Without
-Cython, the committed ``fast.c`` (Cython's output for that ``.pyx``) is
-compiled directly; that extension is marked optional, so a missing or failing
-C compiler only prints a warning and the package installs with its
-pure-Python fallback. ``JRP_FORGE_NO_EXT=1`` skips the extension entirely.
+The kernel is compiled from the committed ``fast.c``, Cython's output for
+``fast.pyx``; after editing the ``.pyx``, regenerate it with
+``cython -3 src/jrp_forge/_kernels/fast.pyx``. The extension is optional, so
+a missing or failing C compiler only prints a warning and the package
+installs with its pure-Python fallback.
 """
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("JRP_FORGE_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        ext_modules = [
-            Extension(
-                "jrp_forge._kernels.fast",
-                ["src/jrp_forge/_kernels/fast.c"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ]
-    else:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "jrp_forge._kernels.fast",
-                    ["src/jrp_forge/_kernels/fast.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "jrp_forge._kernels.fast",
+            ["src/jrp_forge/_kernels/fast.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
         )
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -3,21 +3,17 @@
 The compiled extension handles the common case where every epoch fits in a
 signed 64-bit integer; arbitrary-precision inputs (hyperperiods >= 2**63,
 as produced by the instance generator's prime products under large seeds)
-route to the pure-Python implementation automatically. Set
-JRP_FORGE_KERNEL=pure to force the fallback, e.g. for benchmarking.
+route to the pure-Python implementation automatically, as does every input
+when the extension is not built.
 """
 from __future__ import annotations
 
-import os
-
 from . import pure
 
-_fast = None
-if os.environ.get("JRP_FORGE_KERNEL", "").strip().lower() != "pure":
-    try:
-        from . import fast as _fast  # type: ignore[no-redef]
-    except ImportError:
-        _fast = None
+try:
+    from . import fast as _fast
+except ImportError:
+    _fast = None
 
 _I64_MAX = 2**63 - 1
 

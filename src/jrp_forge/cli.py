@@ -471,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--alpha-v-bar", default=None)
     p_reduce.add_argument("--alpha-v", default=None)
     p_reduce.add_argument("--alpha-n", default=None)
-    add_common(p_reduce)
+    p_reduce.add_argument("--digits", type=int, default=12,
+                          help="decimal digits in rendered columns")
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_sat = sub.add_parser("sat", help="parse, validate, or brute-force DIMACS")

@@ -94,12 +94,13 @@ def decompose(instance: Instance, policy: Policy,
     u_cv = union([CommodityKind.CONSTANT, CommodityKind.VARIABLE])
     u_all = union([CommodityKind.CONSTANT, CommodityKind.VARIABLE, CommodityKind.CLAUSE])
 
-    tc_const = standalone(CommodityKind.CONSTANT) + k0 * u_c
-    tc_var = standalone(CommodityKind.VARIABLE) + k0 * (u_cv - u_c)
-    tc_clause = standalone(CommodityKind.CLAUSE) + k0 * (u_all - u_cv)
-    standalone_total = (standalone(CommodityKind.CONSTANT)
-                        + standalone(CommodityKind.VARIABLE)
-                        + standalone(CommodityKind.CLAUSE))
+    s_const = standalone(CommodityKind.CONSTANT)
+    s_var = standalone(CommodityKind.VARIABLE)
+    s_clause = standalone(CommodityKind.CLAUSE)
+    tc_const = s_const + k0 * u_c
+    tc_var = s_var + k0 * (u_cv - u_c)
+    tc_clause = s_clause + k0 * (u_all - u_cv)
+    standalone_total = s_const + s_var + s_clause
     return CostBreakdown(
         standalone_total=standalone_total,
         joint_frequency=u_all,
@@ -172,5 +173,5 @@ def seed_cost(instance: Instance, profile: SeedProfile,
         a += c.setup / k
         b += c.demand * c.holding * k / 2
     a += instance.joint_setup * sync.ujr(
-        [Fraction(profile.multipliers[c.id]) for c in instance.commodities], cap=cap)
+        [profile.multipliers[c.id] for c in instance.commodities], cap=cap)
     return a, b

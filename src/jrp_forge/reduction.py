@@ -64,7 +64,8 @@ class PrimePair:
 # Default alpha_v_bar is calibrated per variable count so that, at the
 # final drift tolerance, flipping any variable to its high prime raises the
 # variable-class cost by more than the largest cross-seed rate a clause can
-# recover. One calibrated value per n; larger n reuse the n=3 value.
+# recover. Only n=1 and n=2 are calibrated; every larger n gets the
+# uncalibrated fallback below.
 _ALPHA_V_BAR_DEFAULTS = {
     1: Fraction(15827, 20000),
     2: Fraction(74617, 100000),
@@ -82,8 +83,7 @@ class ReductionConstants:
     def resolved(self, n: int) -> "ReductionConstants":
         if self.alpha_v_bar is not None:
             return self
-        value = _ALPHA_V_BAR_DEFAULTS.get(n, _ALPHA_V_BAR_FALLBACK)
-        return replace(self, alpha_v_bar=value)
+        return replace(self, alpha_v_bar=default_alpha_v_bar(n))
 
 
 def default_alpha_v_bar(n: int) -> Fraction:

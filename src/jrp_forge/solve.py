@@ -154,7 +154,7 @@ def exhaustive_search(instance: Instance, k_bounds,
         key = frozenset(ks)
         val = ujr_cache.get(key)
         if val is None:
-            val = sync.ujr([Fraction(k) for k in key], cap=cap)
+            val = sync.ujr(key, cap=cap)
             ujr_cache[key] = val
         return val
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import _kernels
@@ -54,6 +54,17 @@ def _as_periods(family) -> list[Fraction]:
     return out
 
 
+def _flatten(families, what: str) -> list[Fraction]:
+    """All periods of flat periods, one family, or a collection of families."""
+    if isinstance(families, (SeriesFamily, Fraction, int)):
+        periods = _as_periods(families)
+    else:
+        periods = [t for fam in families for t in _as_periods(fam)]
+    if not periods:
+        raise InputError(f"{what} of empty input")
+    return periods
+
+
 def lcm_rational(a: Fraction, b: Fraction) -> Fraction:
     """Smallest positive rational that is an integer multiple of both."""
     a, b = Fraction(a), Fraction(b)
@@ -65,18 +76,8 @@ def lcm_rational(a: Fraction, b: Fraction) -> Fraction:
 
 def hyperperiod(families) -> Fraction:
     """lcm of all periods across the given families (or flat periods)."""
-    periods: list[Fraction] = []
-    if isinstance(families, (SeriesFamily, Fraction, int)):
-        periods = _as_periods(families)
-    else:
-        for fam in families:
-            periods.extend(_as_periods(fam))
-    if not periods:
-        raise InputError("hyperperiod of empty input")
-    out = periods[0]
-    for t in periods[1:]:
-        out = lcm_rational(out, t)
-    return out
+    ints, scale = _scale_to_integers(_flatten(families, "hyperperiod"))
+    return Fraction(lcm(*ints), scale)
 
 
 def _scale_to_integers(periods: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -84,24 +85,42 @@ def _scale_to_integers(periods: Sequence[Fraction]) -> tuple[list[int], int]:
 
     Returns (integer periods, L); a rational period q maps to q*L.
     """
-    scale = 1
-    for t in periods:
-        scale = lcm(scale, t.denominator)
+    scale = lcm(*(t.denominator for t in periods))
     return [t.numerator * (scale // t.denominator) for t in periods], scale
 
 
-def _dedup_prune(int_periods: Sequence[int]) -> list[int]:
+def _int_families(families, what: str) -> tuple[list[list[int]], int]:
+    """Per-family integer periods over one common scale L, and L."""
+    fams = [_as_periods(f) for f in families]
+    if not fams:
+        raise InputError(f"{what} of empty input")
+    ints, scale = _scale_to_integers([t for fam in fams for t in fam])
+    it = iter(ints)
+    return [[next(it) for _ in fam] for fam in fams], scale
+
+
+def _dedup_prune(int_periods: Iterable[int]) -> list[int]:
     # set semantics, then drop any series contained in another (p | q -> F_q subset F_p)
     uniq = sorted(set(int_periods))
     return [q for q in uniq if not any(q % p == 0 for p in uniq if p != q)]
 
 
+def _enumeration_hyper(ints: Sequence[int], max_points: int | None) -> int:
+    """Hyperperiod of the integer periods; refuses more than max_points epochs."""
+    max_points = DEFAULT_ENUM_CAP if max_points is None else max_points
+    hyper = lcm(*ints)
+    points = sum(hyper // p for p in ints)
+    if points > max_points:
+        raise CapExceeded(
+            f"enumeration needs {points} points, over the cap {max_points}"
+        )
+    return hyper
+
+
 def _int_union_fraction(int_periods: Sequence[int], scale: int) -> Fraction:
     if not int_periods:
         return Fraction(0)
-    hyper = 1
-    for p in int_periods:
-        hyper = lcm(hyper, p)
+    hyper = lcm(*int_periods)
     count = _kernels.union_count(int_periods, hyper)
     return Fraction(count * scale, hyper)
 
@@ -113,16 +132,8 @@ def ujr(families, cap: int | None = None) -> Fraction:
     one family, or a collection of families. Exact inclusion-exclusion.
     """
     cap = DEFAULT_IE_CAP if cap is None else cap
-    periods: list[Fraction] = []
-    if isinstance(families, (SeriesFamily, Fraction, int)):
-        periods = _as_periods(families)
-    else:
-        for fam in families:
-            periods.extend(_as_periods(fam))
-    if not periods:
-        raise InputError("ujr of empty input")
-    ints, scale = _scale_to_integers(periods)
-    distinct = sorted(set(ints))
+    ints, scale = _scale_to_integers(_flatten(families, "ujr"))
+    distinct = set(ints)
     if len(distinct) > cap:
         raise CapExceeded(
             f"{len(distinct)} distinct series exceed the inclusion-exclusion cap "
@@ -133,25 +144,9 @@ def ujr(families, cap: int | None = None) -> Fraction:
 
 def ujr_enumerate(families, max_points: int | None = None) -> Fraction:
     """Oracle lane: build the explicit epoch set over one hyperperiod."""
-    max_points = DEFAULT_ENUM_CAP if max_points is None else max_points
-    periods: list[Fraction] = []
-    if isinstance(families, (SeriesFamily, Fraction, int)):
-        periods = _as_periods(families)
-    else:
-        for fam in families:
-            periods.extend(_as_periods(fam))
-    if not periods:
-        raise InputError("ujr_enumerate of empty input")
-    ints, scale = _scale_to_integers(periods)
+    ints, scale = _scale_to_integers(_flatten(families, "ujr_enumerate"))
     ints = sorted(set(ints))
-    hyper = 1
-    for p in ints:
-        hyper = lcm(hyper, p)
-    points = sum(hyper // p for p in ints)
-    if points > max_points:
-        raise CapExceeded(
-            f"enumeration needs {points} points, over the cap {max_points}"
-        )
+    hyper = _enumeration_hyper(ints, max_points)
     count = _kernels.epoch_count(ints, hyper)
     return Fraction(count * scale, hyper)
 
@@ -165,46 +160,23 @@ def ijr(families, cap: int | None = None) -> Fraction:
     remain after absorption.
     """
     cap = DEFAULT_IE_CAP if cap is None else cap
-    fams = [_as_periods(f) for f in families]
-    if not fams:
-        raise InputError("ijr of empty input")
-    all_periods = [t for fam in fams for t in fam]
-    ints, scale = _scale_to_integers(all_periods)
-    it = iter(ints)
-    int_fams = [[next(it) for _ in fam] for fam in fams]
-
-    cross = set(int_fams[0])
+    int_fams, scale = _int_families(families, "ijr")
+    # absorb multiples eagerly to keep the cross product small
+    cross = _dedup_prune(int_fams[0])
     for fam in int_fams[1:]:
-        cross = {lcm(a, b) for a in cross for b in fam}
-        # absorb multiples eagerly to keep the cross product small
-        cross = set(_dedup_prune(sorted(cross)))
-    pruned = _dedup_prune(sorted(cross))
-    if len(pruned) > cap:
+        cross = _dedup_prune(lcm(a, b) for a in cross for b in fam)
+    if len(cross) > cap:
         raise CapExceeded(
-            f"{len(pruned)} intersection series exceed the inclusion-exclusion "
+            f"{len(cross)} intersection series exceed the inclusion-exclusion "
             f"cap {cap}"
         )
-    return _int_union_fraction(pruned, scale)
+    return _int_union_fraction(cross, scale)
 
 
 def ijr_enumerate(families, max_points: int | None = None) -> Fraction:
     """Enumeration cross-check for ijr: intersect per-family epoch sets."""
-    max_points = DEFAULT_ENUM_CAP if max_points is None else max_points
-    fams = [_as_periods(f) for f in families]
-    if not fams:
-        raise InputError("ijr_enumerate of empty input")
-    all_periods = [t for fam in fams for t in fam]
-    ints, scale = _scale_to_integers(all_periods)
-    it = iter(ints)
-    int_fams = [[next(it) for _ in fam] for fam in fams]
-    hyper = 1
-    for p in ints:
-        hyper = lcm(hyper, p)
-    points = sum(hyper // p for p in ints)
-    if points > max_points:
-        raise CapExceeded(
-            f"enumeration needs {points} points, over the cap {max_points}"
-        )
+    int_fams, scale = _int_families(families, "ijr_enumerate")
+    hyper = _enumeration_hyper([p for fam in int_fams for p in fam], max_points)
     epochs: set[int] | None = None
     for fam in int_fams:
         fam_epochs: set[int] = set()

@@ -202,6 +202,17 @@ def test_reduce_rejected_config_exits_4(capsys, cnf_file, tmp_path):
     assert "rejected" in err
 
 
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--cap", "5"]])
+def test_reduce_rejects_options_it_would_ignore(capsys, cnf_file, tmp_path, flag):
+    # reduce always prints one JSON summary and runs no union-rate expansion
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", cnf_file, "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_lemmas(capsys):
     rc, out, _ = run(capsys, "check", "--suite", "lemmas", "--n", "1")
     assert rc == 0
