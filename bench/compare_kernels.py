@@ -21,8 +21,16 @@ except ImportError:
     fast = None
 
 
+def _drop_multiples(periods: list[int]) -> list[int]:
+    # a period divisible by another adds no epochs; the kernel requires none
+    # (sync prunes them before every call)
+    return [p for p in periods if not any(q != p and p % q == 0 for q in periods)]
+
+
 def reduction_workload() -> list[tuple[list[int], int]]:
-    # the series sets a 3-variable reduction actually feeds the kernel
+    # the period sets of a 3-variable reduction after sync's pruning: a
+    # clause period, 11*17*29 or 13*19*31, is dropped as soon as one of its
+    # primes is a picked period, so only the all-low and all-high picks keep one
     primes = [(11, 13), (17, 19), (29, 31)]
     anchor = 7
     cases = []
@@ -34,6 +42,7 @@ def reduction_workload() -> list[tuple[list[int], int]]:
             periods.append((lo if on_high else hi) * anchor)
         periods.append(11 * 17 * 29)
         periods.append(13 * 19 * 31)
+        periods = _drop_multiples(periods)
         hyper = 1
         for p in periods:
             hyper = hyper * p // gcd(hyper, p)
@@ -45,9 +54,7 @@ def random_workload(rng: random.Random, count: int) -> list[tuple[list[int], int
     cases = []
     while len(cases) < count:
         periods = sorted({rng.randint(2, 60) for _ in range(rng.randint(3, 8))})
-        # drop any period divisible by another (kernel precondition)
-        kept = [p for p in periods
-                if not any(q != p and p % q == 0 for q in periods)]
+        kept = _drop_multiples(periods)
         if not kept:
             continue
         hyper = 1

@@ -124,14 +124,33 @@ def expand_profile(profile: SeedProfile) -> Policy:
 # ---------------------------------------------------------------------------
 # serialization-- rationals travel as "num/den" strings, never floats
 
+# Bounds on the cost of parsing untrusted rational text: "1e10000000" is 10
+# characters but would build a 33M-bit integer.
+MAX_RATIONAL_CHARS = 4096
+MAX_DECIMAL_EXPONENT = 1000
+
+
 def parse_rational(text: object, *, where: str = "value") -> Fraction:
     if isinstance(text, bool):
         raise InputError(f"{where}: expected rational, got boolean")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
+        if len(text) > MAX_RATIONAL_CHARS:
+            raise InputError(f"{where}: rational text of {len(text)} characters "
+                             f"exceeds the limit of {MAX_RATIONAL_CHARS}")
+        stripped = text.strip()
+        _, marker, exponent = stripped.lower().partition("e")
+        if marker:
+            try:
+                too_big = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+            except ValueError:
+                too_big = False     # malformed; Fraction reports it below
+            if too_big:
+                raise InputError(f"{where}: decimal exponent in {text!r} exceeds "
+                                 f"the limit of {MAX_DECIMAL_EXPONENT} in magnitude")
         try:
-            return Fraction(text.strip())
+            return Fraction(stripped)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: not a rational: {text!r} ({exc})") from None
     raise InputError(f"{where}: expected 'num/den' string, got {type(text).__name__}")

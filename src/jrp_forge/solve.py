@@ -3,6 +3,9 @@
 Every winner is selected with exact rational comparisons. Optima of the form
 2*sqrt(A*B) are compared through A*B (and against rational endpoint costs
 through squares), so ties break deterministically and never through floats.
+exhaustive_search compares profiles as plain integers: a*b over each
+profile's hyperperiod lcm(ks), with no Fraction and no square root until the
+final refinement of the winning seed.
 """
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import sync
@@ -53,6 +57,23 @@ def _cand_lt(a: _Cand, b: _Cand) -> bool:
     if a.kind == "sqrt":  # 2*sqrt(ab) < r  <=>  4*ab < r*r  (costs positive)
         return 4 * a.value < b.value * b.value
     return a.value * a.value < 4 * b.value
+
+
+def _scaled_lt(x: tuple[bool, int, int], y: tuple[bool, int, int],
+               dsb: int) -> bool:
+    """x < y for integer candidates (root, p, q) of one exhaustive scan.
+
+    A root candidate costs 2*sqrt(A*B) with A*B = p / (q*dsb); any other
+    costs the rational p/q. Every integer is positive, so cross-multiplying
+    (and squaring across kinds) keeps the order exact.
+    """
+    x_root, xp, xq = x
+    y_root, yp, yq = y
+    if x_root == y_root:
+        return xp * yq < yp * xq
+    if x_root:   # 2*sqrt(xp/(xq*dsb)) < yp/yq  <=>  4*xp*yq^2 < yp^2*xq*dsb
+        return 4 * xp * yq * yq < yp * yp * xq * dsb
+    return xp * xp * yq * dsb < 4 * yp * xq * xq
 
 
 def _normalize_interval(seed_interval) -> Optional[Interval]:
@@ -131,6 +152,14 @@ def exhaustive_search(instance: Instance, k_bounds,
 
     Profiles are scanned in lexicographic order over the instance's commodity
     order, so cost ties keep the lexicographically smallest profile.
+
+    The scan is exact integer arithmetic. With D and SB the lcms of the setup
+    denominators (K0 included) and of the holding-weight denominators, and
+    H = lcm(ks) the profile's hyperperiod, a = A*D*H and b = B*SB are
+    integers and A*B = a*b / (D*SB*H); interior optima compare by
+    cross-multiplying a*b with the other profile's H. A seed interval's
+    clamp tests and endpoint costs stay integer fractions as well. Only the
+    winning profile's seed is refined, by optimize_seed.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -145,34 +174,50 @@ def exhaustive_search(instance: Instance, k_bounds,
             f"{n_profiles} profiles exceed the cap of {profile_cap}")
 
     ids = instance.ids()
+    k0 = instance.joint_setup
     setups = [c.setup for c in instance.commodities]
     weights = [c.demand * c.holding / 2 for c in instance.commodities]
-    k0 = instance.joint_setup
-    ujr_cache: dict[frozenset[int], Fraction] = {}
+    d = lcm(k0.denominator, *(s.denominator for s in setups))
+    sb = lcm(*(w.denominator for w in weights))
+    k0_int = k0.numerator * (d // k0.denominator)
+    setup_ints = [s.numerator * (d // s.denominator) for s in setups]
+    weight_ints = [w.numerator * (sb // w.denominator) for w in weights]
+    dsb = d * sb
+    joint_cache: dict[frozenset[int], tuple[int, int]] = {}
 
-    def joint_rate(ks: tuple[int, ...]) -> Fraction:
+    def joint_term(ks: tuple[int, ...]) -> tuple[int, int]:
+        """(K0 * UJR(ks) * D * H, H) with H = lcm(ks)."""
         key = frozenset(ks)
-        val = ujr_cache.get(key)
+        val = joint_cache.get(key)
         if val is None:
-            val = sync.ujr(key, cap=cap)
-            ujr_cache[key] = val
+            rate = sync.ujr(key, cap=cap)
+            h = lcm(*key)
+            val = joint_cache[key] = (
+                k0_int * rate.numerator * (h // rate.denominator), h)
         return val
 
-    best: Optional[_Cand] = None
+    if interval is not None:
+        (lo_n, lo_m), (hi_n, hi_m) = (q.as_integer_ratio() for q in interval)
+    best: Optional[tuple[bool, int, int]] = None
     best_profile: Optional[tuple[int, ...]] = None
     ranges = [range(lo, hi + 1) for lo, hi in (bounds[cid] for cid in ids)]
     for ks in itertools.product(*ranges):
-        a = k0 * joint_rate(ks)
-        b = Fraction(0)
-        for setup, weight, k in zip(setups, weights, ks):
-            a += setup / k
+        joint, h = joint_term(ks)
+        a = joint       # A * D * H
+        b = 0           # B * SB
+        for setup, weight, k in zip(setup_ints, weight_ints, ks):
+            a += setup * (h // k)
             b += weight * k
-        beta, where, _ = _best_seed(a, b, interval)
-        if where == "interior":
-            cand = _Cand("sqrt", a * b)
-        else:
-            cand = _Cand("rat", a / beta + b * beta)
-        if best is None or _cand_lt(cand, best):
+        cand = (True, a * b, h)
+        if interval is not None:
+            x, y = a * sb, b * d * h                    # A/B = x/y
+            if x * lo_m * lo_m <= y * lo_n * lo_n:      # A/B <= lo^2
+                cand = (False, x * lo_m * lo_m + y * lo_n * lo_n,
+                        lo_n * lo_m * dsb * h)
+            elif x * hi_m * hi_m >= y * hi_n * hi_n:    # A/B >= hi^2
+                cand = (False, x * hi_m * hi_m + y * hi_n * hi_n,
+                        hi_n * hi_m * dsb * h)
+        if best is None or _scaled_lt(cand, best, dsb):
             best, best_profile = cand, ks
 
     assert best_profile is not None

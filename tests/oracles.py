@@ -121,3 +121,46 @@ def sat_eval_reversed(clauses: Sequence[Sequence[int]],
         if not clause_true:
             return False
     return True
+
+
+def exhaustive_argmin(instance, bounds: Sequence[tuple[int, int]],
+                      seed_interval: tuple[Fraction, Fraction] | None = None
+                      ) -> tuple[tuple[int, ...], set[str]]:
+    """Lexicographically first multiplier profile of least seed-optimal cost.
+
+    Plain Fraction sums A = K0*U(ks) + sum K_c/k_c and B = sum lambda_c*h_c*k_c/2
+    per profile, with the union rate U from the epoch-set oracle. Squared
+    costs are compared: 4*A*B at the interior seed sqrt(A/B), and
+    (A/beta + B*beta)**2 at a clamped seed beta. `bounds` lists (lo, hi) in
+    commodity order. Also returns the seed kinds seen ("interior", "lo",
+    "hi") over all profiles.
+    """
+    union_rates: dict[frozenset[int], Fraction] = {}
+    kinds: set[str] = set()
+    best_sq: Fraction | None = None
+    best: tuple[int, ...] | None = None
+    profiles: list[tuple[int, ...]] = [()]
+    for lo, hi in bounds:
+        profiles = [p + (k,) for p in profiles for k in range(lo, hi + 1)]
+    for ks in profiles:
+        key = frozenset(ks)
+        if key not in union_rates:
+            union_rates[key] = enum_union_rate([Fraction(k) for k in key])
+        a = instance.joint_setup * union_rates[key]
+        b = Fraction(0)
+        for c, k in zip(instance.commodities, ks):
+            a += c.setup / k
+            b += c.demand * c.holding * k / 2
+        ratio = a / b               # square of the interior seed
+        if seed_interval is not None and ratio < seed_interval[0] ** 2:
+            kind, beta = "lo", seed_interval[0]
+        elif seed_interval is not None and ratio > seed_interval[1] ** 2:
+            kind, beta = "hi", seed_interval[1]
+        else:
+            kind, beta = "interior", None
+        kinds.add(kind)
+        cost_sq = 4 * a * b if beta is None else (a / beta + b * beta) ** 2
+        if best_sq is None or cost_sq < best_sq:
+            best_sq, best = cost_sq, ks
+    assert best is not None
+    return best, kinds

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jrp_forge
 from jrp_forge.cli import main
 from jrp_forge.model import (
     Commodity,
@@ -274,3 +279,52 @@ def test_gen_writes_loadable_instance(capsys, tmp_path):
 def test_gen_bad_range(capsys):
     rc, _, err = run(capsys, "gen", "--n", "2", "--k-range", "9")
     assert rc == 2
+
+
+_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from jrp_forge import cli
+assert cli._parser is None, "parser built at import"
+results, parsers = [], set()
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    parsers.add(id(cli._parser))
+    results.append([rc, out.getvalue(), err.getvalue()])
+assert len(parsers) == 1, "parser rebuilt between calls"
+print(json.dumps(results))
+"""
+
+
+def _python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    src = str(Path(jrp_forge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    # the parser is built once per process and reused: a later call, even
+    # after an argparse error, prints what a fresh process prints
+    calls = [
+        ["gen", "--n", "3", "--rng-seed", "5", "--out", "inst.json"],
+        ["solve", "inst.json"],                     # no --method: exit 2
+        ["solve", "inst.json", "--method", "exhaustive", "--k-hi", "4",
+         "--format", "csv"],
+        ["sat", "f.cnf", "--solve"],
+    ]
+    (tmp_path / "f.cnf").write_text("p cnf 3 1\n1 -2 3 0\n")
+    proc = _python("-c", _IN_ONE_PROCESS, json.dumps(calls), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    in_process = json.loads(proc.stdout)
+    fresh = []
+    for argv in calls:
+        p = _python("-m", "jrp_forge.cli", *argv, cwd=tmp_path)
+        fresh.append([p.returncode, p.stdout, p.stderr])
+    assert [rc for rc, _, _ in fresh] == [0, 2, 0, 0]
+    assert in_process == fresh

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,20 @@ def test_parse_rational_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises(InputError):
         parse_rational(bad, where="field")
+
+
+def test_parse_rational_bounds_input_cost():
+    # "1e10000000" would otherwise build a 33M-bit integer, taking seconds
+    for text in ("1e10000000", "-1E-10000000", "3.5e1001", "1e1_001"):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="exponent"):
+            parse_rational(text, where="field")
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(InputError, match="characters"):
+        parse_rational("1" * 5000 + "/3")
+    assert parse_rational("1e1000") == F(10) ** 1000
+    assert parse_rational(" -2.5e-1000 ") == F(-5, 2) / F(10) ** 1000
+    assert parse_rational("1/" + "7" * 4000) == F(1, int("7" * 4000))
 
 
 def test_format_roundtrip():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from jrp_forge.solve import (
     optimize_seed,
     power_of_two,
 )
+
+from .oracles import exhaustive_argmin
 
 F = Fraction
 
@@ -116,6 +119,105 @@ def test_exhaustive_per_commodity_bounds():
         inst, {"c0": (2, 2), "c1": (3, 3), "c2": (5, 5)},
         seed_interval=(F(1), F(1)))
     assert res.policy.cycles == {"c0": F(2), "c1": F(3), "c2": F(5)}
+
+
+def _random_exhaustive_case(rng: random.Random):
+    n = rng.randint(1, 4)
+    commodities = tuple(
+        Commodity(f"c{i}", F(rng.randint(1, 8)),
+                  F(rng.randint(1, 30), rng.randint(1, 8)),
+                  F(rng.randint(1, 100), rng.randint(1, 4)))
+        for i in range(n))
+    inst = Instance(commodities, F(rng.randint(1, 50), rng.randint(1, 3)))
+    span = {1: 12, 2: 6, 3: 4, 4: 3}[n]
+    if rng.random() < 0.5:
+        lo = rng.randint(1, 3)
+        k_bounds = (lo, lo + rng.randint(0, span))
+        per_commodity = [k_bounds] * n
+    else:
+        k_bounds = {}
+        for c in commodities:
+            lo = rng.randint(1, 4)
+            k_bounds[c.id] = (lo, lo + rng.randint(0, span))
+        per_commodity = [k_bounds[c.id] for c in commodities]
+    interval = None
+    if rng.random() < 0.4:
+        # profile seeds sqrt(A/B) mostly lie in 1/4..3/2 here
+        lo = F(rng.randint(1, 12), 16)
+        interval = (lo, lo + F(rng.randint(0, 12), 16))
+    return inst, k_bounds, per_commodity, interval
+
+
+def test_exhaustive_matches_fraction_reference():
+    # the integer scan picks the same profile as a plain-Fraction argmin
+    # built on the set oracle, whether seeds are free, interior or clamped
+    rng = random.Random(20261018)
+    mixed = 0
+    kinds_seen: set[str] = set()
+    winners: Counter[str] = Counter()
+    for _ in range(240):
+        inst, k_bounds, per_commodity, interval = _random_exhaustive_case(rng)
+        res = exhaustive_search(inst, k_bounds, seed_interval=interval)
+        profile, kinds = exhaustive_argmin(inst, per_commodity, interval)
+        expect = optimize_seed(inst, dict(zip(inst.ids(), profile)),
+                               seed_interval=interval)
+        assert res.policy == expect.policy
+        assert res.cost == expect.cost
+        if interval is not None:
+            kinds_seen |= kinds
+            mixed += "interior" in kinds and len(kinds) > 1
+            winners[expect.method] += 1
+    # interior and clamped candidates were compared with each other, and
+    # both endpoints won somewhere
+    assert kinds_seen == {"interior", "lo", "hi"}
+    assert mixed >= 30
+    assert winners["seed(clamped-lo)"] >= 10
+    assert winners["seed(clamped-hi)"] >= 10
+
+
+def test_exhaustive_exact_tie_keeps_lexicographically_first():
+    # two identical commodities (K = 1, lambda*h/2 = 1) at the fixed seed 1
+    # with K0 = 1: g(1) = 2, g(2) = 5/2, so the asymmetric profile pays
+    # 1 + 2 + 5/2 and the symmetric (2, 2) pays 1/2 + 5 -- an exact tie.
+    # A full box would let (1, 1) win, so one commodity is pinned.
+    twins = Instance((Commodity("c1", F(2), F(1), F(1)),
+                      Commodity("c2", F(2), F(1), F(1))), F(1))
+    fixed = (F(1), F(1))
+    for k_bounds, winner in (({"c1": (2, 2), "c2": (1, 2)}, {"c1": 2, "c2": 1}),
+                             ({"c1": (1, 2), "c2": (2, 2)}, {"c1": 1, "c2": 2})):
+        res = exhaustive_search(twins, k_bounds, seed_interval=fixed)
+        assert res.policy == Policy({cid: F(k) for cid, k in winner.items()})
+        tied = total_cost(twins, Policy({"c1": F(2), "c2": F(2)}))
+        assert res.cost.total == tied.total == F(11, 2)
+        per_commodity = [k_bounds["c1"], k_bounds["c2"]]
+        assert exhaustive_argmin(twins, per_commodity, fixed)[0] == \
+            (winner["c1"], winner["c2"])
+
+
+def test_exhaustive_exact_tie_across_seed_kinds():
+    # an endpoint cost p/q against an interior cost 2*sqrt(A*B), both exactly
+    # 6 (first case) or 12 (second), in both scan orders: the profile
+    # scanned first keeps the win
+    def two(k1, k2, w1, w2, k0):   # setups K, weights lambda*h/2, K0
+        return Instance((Commodity("c1", 2 * w1, F(1), F(k1)),
+                         Commodity("c2", 2 * w2, F(1), F(k2))), F(k0))
+
+    # (1, 2) clamps to hi = 3/2 (A = 9/2, B = 2) and costs 3 + 3; then
+    # (2, 2) is interior at beta = 1 (A = B = 3) and costs 2*sqrt(9)
+    first_clamped = two(1, 3, F(1), F(1, 2), 2)
+    res = exhaustive_search(first_clamped, (1, 3),
+                            seed_interval=(F(2, 3), F(3, 2)))
+    assert res.policy == Policy({"c1": F(3, 2), "c2": F(3)})
+    assert total_cost(first_clamped, Policy({"c1": F(2), "c2": F(2)})).total \
+        == res.cost.total == F(6)
+    # (1, 1) is interior at beta = 3/2 (A = 9, B = 4) and costs 2*sqrt(36);
+    # then (1, 2) clamps to lo = 1 (A = B = 6) and costs 6 + 6
+    first_interior = two(1, 6, F(2), F(2), 2)
+    res = exhaustive_search(first_interior, (1, 3),
+                            seed_interval=(F(1), F(2)))
+    assert res.policy == Policy({"c1": F(3, 2), "c2": F(3, 2)})
+    assert total_cost(first_interior, Policy({"c1": F(1), "c2": F(2)})).total \
+        == res.cost.total == F(12)
 
 
 def test_coordinate_descent_improves_to_local_opt():
