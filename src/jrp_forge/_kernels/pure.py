@@ -4,6 +4,21 @@ from __future__ import annotations
 from math import gcd
 
 
+def _branch(ps, hyper, idx, lcm_val, sign):
+    """Signed inclusion-exclusion terms of every subset extending one prefix.
+
+    A module-level function rather than a closure over itself, so a call
+    leaves no reference cycle behind for the collector.
+    """
+    if lcm_val == hyper and idx != len(ps) - 1:
+        return 0
+    total = sign * (hyper // lcm_val)
+    for j in range(idx + 1, len(ps)):
+        g = gcd(lcm_val, ps[j])
+        total += _branch(ps, hyper, j, lcm_val // g * ps[j], -sign)
+    return total
+
+
 def union_count(periods, hyper):
     """Inclusion-exclusion count of the union of multiples in (0, hyper].
 
@@ -12,18 +27,7 @@ def union_count(periods, hyper):
     subset cannot be extended further.
     """
     ps = list(periods)
-    n = len(ps)
-
-    def branch(idx: int, lcm_val, sign: int):
-        if lcm_val == hyper and idx != n - 1:
-            return 0
-        total = sign * (hyper // lcm_val)
-        for j in range(idx + 1, n):
-            g = gcd(lcm_val, ps[j])
-            total += branch(j, lcm_val // g * ps[j], -sign)
-        return total
-
-    return sum(branch(j, ps[j], 1) for j in range(n))
+    return sum(_branch(ps, hyper, j, ps[j], 1) for j in range(len(ps)))
 
 
 def epoch_count(periods, hyper):

@@ -225,13 +225,20 @@ def _commodity_from_obj(obj: object, idx: int) -> Commodity:
     return c
 
 
-def load_instance(data: bytes | str) -> Instance:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def _load_json(data: bytes | str, what: str) -> object:
+    """json.loads, with every ValueError it can raise reported as InputError:
+    malformed JSON, bytes that are not UTF-8, and an integer literal over
+    the interpreter's limit on digits converted to int."""
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed instance JSON: {exc}") from None
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except ValueError as exc:
+        raise InputError(f"malformed {what} JSON: {exc}") from None
+
+
+def load_instance(data: bytes | str) -> Instance:
+    doc = _load_json(data, "instance")
     if not isinstance(doc, dict):
         raise InputError("instance JSON must be an object")
     if "k0" not in doc:
@@ -270,12 +277,7 @@ def save_instance(instance: Instance) -> bytes:
 
 
 def load_policy(data: bytes | str) -> Policy:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed policy JSON: {exc}") from None
+    doc = _load_json(data, "policy")
     if not isinstance(doc, dict) or not isinstance(doc.get("cycles"), dict):
         raise InputError("policy JSON must be an object with a 'cycles' map")
     cycles = {}

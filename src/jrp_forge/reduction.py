@@ -17,7 +17,6 @@ t*^2 = K/h throughout.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -482,6 +481,9 @@ def _map_assignments(fn, assignments):
     workers = _thread_count()
     if workers == 1:
         return [fn(a) for a in assignments]
+    # imported here: the module (and the logging it pulls in) is needed only
+    # for a pool, and costs about 1 MB of resident memory at import
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, assignments))
 

@@ -5,7 +5,11 @@ Every winner is selected with exact rational comparisons. Optima of the form
 through squares), so ties break deterministically and never through floats.
 exhaustive_search compares profiles as plain integers: a*b over each
 profile's hyperperiod lcm(ks), with no Fraction and no square root until the
-final refinement of the winning seed.
+final refinement of the winning seed. power_of_two rounds to exponents by
+integer bit lengths and builds its base grid from exact integer roots.
+coordinate_descent prices each trial move incrementally: only the moved
+cycle's standalone cost and the union rate change, and the other cycles are
+scaled and pruned once per commodity.
 """
 from __future__ import annotations
 
@@ -271,6 +275,12 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
     Each commodity in turn is moved to the exact-cost-minimizing candidate
     (ties broken toward the smaller cycle) while the others stay fixed. The
     cost sequence is strictly decreasing, so termination is guaranteed.
+
+    A trial changes one cycle, so it is priced incrementally and exactly:
+    rest + K/t + w*t + K0*UJR, where rest is the other commodities' fixed
+    standalone cost and the union rate comes from sync._ujr_with, which
+    scales and prunes the other cycles once per commodity. The start policy
+    and every accepted move go through total_cost.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -279,21 +289,31 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
         candidate_fn = default_candidates
     policy = start if start is not None else _default_start(instance)
     current = total_cost(instance, policy, cap=cap)
+    k0 = instance.joint_setup
+    # g summed over the commodities sharing an id: K/t + w*t
+    setup_weight: dict[str, tuple[Fraction, Fraction]] = {}
+    for c in instance.commodities:
+        k, w = setup_weight.get(c.id, (Fraction(0), Fraction(0)))
+        setup_weight[c.id] = (k + c.setup, w + c.demand * c.holding / 2)
     nodes = 1
     for _ in range(max_rounds):
         improved = False
         for cid in instance.ids():
-            best_t = policy.cycle(cid)
+            k, w = setup_weight[cid]
+            t_now = policy.cycle(cid)
+            rest = current.standalone_total - (k / t_now + w * t_now)
+            rate = sync._ujr_with([policy.cycle(c.id) for c in instance.commodities
+                                   if c.id != cid], cap)
+            best_t = t_now
             best_total = current.total
             for t in sorted(set(candidate_fn(instance, policy, cid))):
-                if t <= 0 or t == policy.cycle(cid):
+                if t <= 0 or t == t_now:
                     continue
-                trial = Policy({**policy.cycles, cid: t})
                 nodes += 1
-                trial_cost = total_cost(instance, trial, cap=cap)
-                if trial_cost.total < best_total or (
-                        trial_cost.total == best_total and t < best_t):
-                    best_t, best_total = t, trial_cost.total
+                trial_total = rest + k / t + w * t + k0 * rate(t)
+                if trial_total < best_total or (
+                        trial_total == best_total and t < best_t):
+                    best_t, best_total = t, trial_total
             if best_total < current.total:
                 policy = Policy({**policy.cycles, cid: best_t})
                 current = total_cost(instance, policy, cap=cap)
@@ -307,37 +327,43 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
 # ---------------------------------------------------------------------------
 # power-of-two policies
 
-def _pow4(m: int) -> Fraction:
-    return Fraction(4) ** m
+def _ceil_log2(p: int, q: int) -> int:
+    """Smallest integer e with p <= q * 2**e, for positive integers p, q."""
+    e = p.bit_length() - q.bit_length()     # 2^(e-1) < p/q < 2^(e+1)
+    fits = p <= q << e if e >= 0 else p << -e <= q
+    return e if fits else e + 1
 
 
-def _best_exponent(c, base: Fraction) -> int:
-    """Exact g-minimizing m for cycle base*2^m; ties go to the smaller m."""
-    t2 = 2 * c.setup / (c.holding * c.demand)
-    r = t2 / (base * base)
-    # floor(log4 r), estimated from bit lengths then corrected exactly
-    m = (r.numerator.bit_length() - r.denominator.bit_length()) // 2
-    while _pow4(m + 1) <= r:
-        m += 1
-    while _pow4(m) > r:
-        m -= 1
-    lo_t = base * Fraction(2) ** m
-    hi_t = 2 * lo_t
-    if standalone_cost(c, lo_t) <= standalone_cost(c, hi_t):
-        return m
-    return m + 1
+def _pot_exponent(t_sq: Fraction, base_sq: Fraction) -> int:
+    """m with base*2^m in [t/sqrt(2), t*sqrt(2)), from t^2 and base^2.
+
+    m is the smallest integer with r = t^2/base^2 <= 2*4^m. For a
+    commodity's standalone optimum t* this is the exact g-minimizing
+    exponent, ties going to the smaller m: g(x) <= g(2x) iff x^2 >= t*^2/2.
+    """
+    return _ceil_log2(t_sq.numerator * base_sq.denominator,
+                      t_sq.denominator * base_sq.numerator) // 2
 
 
-def _round_exponent(target_sq: Fraction, base: Fraction) -> int:
-    """m with base*2^m in [target/sqrt(2), target*sqrt(2)); exact arithmetic."""
-    r = 2 * target_sq / (base * base)
-    # largest m with 4^m < r
-    m = (r.numerator.bit_length() - r.denominator.bit_length()) // 2
-    while _pow4(m + 1) < r:
-        m += 1
-    while _pow4(m) >= r:
-        m -= 1
-    return m
+_GRID_BITS = 24     # power_of_two's base grid steps are multiples of 2^-24
+
+
+def _grid_step(j: int, grid: int) -> int:
+    """round(2**(24 + j/grid)) exactly, without libm.
+
+    The result x is the integer with (2x-1)^grid <= 2^(25*grid + j)
+    < (2x+1)^grid; the root is never a half-integer, so no tie arises. The
+    float only picks where the search starts: the loops make the result
+    exact whatever libm returns.
+    """
+    k = grid * (_GRID_BITS + 1) + j
+    x = round(2 ** (j / grid) * 2 ** _GRID_BITS)
+    # the powers of odd 2x+-1 are never 2^k, so bit lengths decide exactly
+    while ((2 * x + 1) ** grid).bit_length() <= k:
+        x += 1
+    while ((2 * x - 1) ** grid).bit_length() > k:
+        x -= 1
+    return x
 
 
 def _cluster_target_squares(instance: Instance) -> dict[str, Fraction]:
@@ -373,15 +399,17 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
                  cap: int | None = None) -> SolveResult:
     """Restrict every cycle to base*2^m with integer m.
 
-    With a fixed base each commodity's exponent is chosen by exact cost
-    comparison (equivalent to rounding log2(t*/base), half-points rounding
-    down). With optimize_base=True, `grid` bases spanning one octave above
-    `base` are tried; for each base two exponent patterns are formed — one
-    rounding the standalone optima, one rounding the joint-setup relaxation
-    targets, which share one cycle across the cluster of most frequent
-    commodities — and every distinct pattern is reduced to an integer
-    multiplier profile whose common seed is then optimized exactly, so the
-    returned policy is the best seed-scaled power-of-two pattern seen.
+    With a fixed base each commodity's exponent minimizes its standalone
+    cost exactly (rounding log2(t*/base), half-points rounding down), found
+    from bit lengths of t*^2/base^2. With optimize_base=True, `grid` bases
+    base * round(2^(j/grid)) (to 24 bits, exactly rounded integer roots)
+    spanning one octave above `base` are tried; for each base two exponent
+    patterns are formed — one rounding the standalone optima, one rounding
+    the joint-setup relaxation targets, which share one cycle across the
+    cluster of most frequent commodities — and every distinct pattern is
+    reduced to an integer multiplier profile whose common seed is then
+    optimized exactly, so the returned policy is the best seed-scaled
+    power-of-two pattern seen.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -389,10 +417,13 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     base = Fraction(base)
     if base <= 0:
         raise InputError(f"base must be > 0, got {base}")
+    # t*^2 = K/w with w = lambda*h/2
+    weights = [c.demand * c.holding / 2 for c in instance.commodities]
 
     if not optimize_base:
-        cycles = {c.id: base * Fraction(2) ** _best_exponent(c, base)
-                  for c in instance.commodities}
+        base_sq = base * base
+        cycles = {c.id: base * Fraction(2) ** _pot_exponent(c.setup / w, base_sq)
+                  for c, w in zip(instance.commodities, weights)}
         policy = Policy(cycles)
         return SolveResult(policy, total_cost(instance, policy, cap=cap),
                            f"pot(base={base})", len(cycles),
@@ -400,17 +431,19 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
 
     if grid < 1:
         raise InputError(f"grid must be >= 1, got {grid}")
-    scale_bits = 24
     targets = _cluster_target_squares(instance)
+    standalone_sqs = [c.setup / w for c, w in zip(instance.commodities, weights)]
+    target_sqs = [targets[cid] for cid in instance.ids()]
     seen: set[tuple[int, ...]] = set()
     best: Optional[_Cand] = None
     best_profile: Optional[dict[str, int]] = None
     for j in range(grid):
-        step = Fraction(round(2 ** (j / grid) * 2 ** scale_bits), 2 ** scale_bits)
+        step = Fraction(_grid_step(j, grid), 2 ** _GRID_BITS)
         b_j = base * step
+        b_sq = b_j * b_j
         patterns = (
-            [_best_exponent(c, b_j) for c in instance.commodities],
-            [_round_exponent(targets[c.id], b_j) for c in instance.commodities],
+            [_pot_exponent(t_sq, b_sq) for t_sq in standalone_sqs],
+            [_pot_exponent(t_sq, b_sq) for t_sq in target_sqs],
         )
         for exps in patterns:
             m_min = min(exps)

@@ -11,10 +11,11 @@ larger inputs raise CapExceeded and should go through ujr_enumerate.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _kernels
 from .model import InputError, JrpError
@@ -125,21 +126,63 @@ def _int_union_fraction(int_periods: Sequence[int], scale: int) -> Fraction:
     return Fraction(count * scale, hyper)
 
 
+def _require_ie_cap(distinct: int, cap: int | None) -> None:
+    """Refuse a union of more than `cap` distinct series (counted before
+    pruning)."""
+    cap = DEFAULT_IE_CAP if cap is None else cap
+    if distinct > cap:
+        raise CapExceeded(
+            f"{distinct} distinct series exceed the inclusion-exclusion cap "
+            f"{cap}; use ujr_enumerate or raise the cap"
+        )
+
+
 def ujr(families, cap: int | None = None) -> Fraction:
     """Union joint-replenishment rate |union of all series| / hyperperiod.
 
     Grouping is irrelevant for a union, so the input may be flat periods,
     one family, or a collection of families. Exact inclusion-exclusion.
     """
-    cap = DEFAULT_IE_CAP if cap is None else cap
     ints, scale = _scale_to_integers(_flatten(families, "ujr"))
     distinct = set(ints)
-    if len(distinct) > cap:
-        raise CapExceeded(
-            f"{len(distinct)} distinct series exceed the inclusion-exclusion cap "
-            f"{cap}; use ujr_enumerate or raise the cap"
-        )
+    _require_ie_cap(len(distinct), cap)
     return _int_union_fraction(_dedup_prune(distinct), scale)
+
+
+def _ujr_with(others: Sequence[Fraction],
+              cap: int | None) -> Callable[[Fraction], Fraction]:
+    """t -> ujr(others + [t]) for many positive t against fixed `others`.
+
+    The others are scaled to integers over their denominator lcm L0 and
+    pruned once. A candidate t = p/q rescales them to lcm(L0, q): when an
+    other divides t the union is the others' own rate, otherwise the others
+    that t divides drop out and t joins the rest. The cap counts distinct
+    series before pruning, as ujr does.
+    """
+    distinct = set(others)
+    ints, l0 = _scale_to_integers(others)
+    pruned = _dedup_prune(ints)
+    own_rate: Fraction | None = None
+
+    def rate(t: Fraction) -> Fraction:
+        nonlocal own_rate
+        _require_ie_cap(len(distinct) + (t not in distinct), cap)
+        scale = lcm(l0, t.denominator)
+        up = scale // l0
+        tp = t.numerator * (scale // t.denominator)
+        kept = []
+        for b in pruned:
+            b *= up
+            if tp % b == 0:
+                if own_rate is None:
+                    own_rate = _int_union_fraction(pruned, l0)
+                return own_rate
+            if b % tp:
+                kept.append(b)
+        insort(kept, tp)
+        return _int_union_fraction(kept, scale)
+
+    return rate
 
 
 def ujr_enumerate(families, max_points: int | None = None) -> Fraction:

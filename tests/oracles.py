@@ -3,7 +3,9 @@
 Everything here is deliberately implemented differently from the package:
 set-based epoch counting instead of inclusion-exclusion, float golden-section
 search instead of the closed form, reversed-order clause evaluation, and
-sympy's primality test. None of it imports package internals beyond types.
+sympy's primality test. None of it imports package internals beyond types,
+except reference_descent, which prices every trial through the public
+total_cost.
 """
 from __future__ import annotations
 
@@ -164,3 +166,41 @@ def exhaustive_argmin(instance, bounds: Sequence[tuple[int, int]],
             best_sq, best = cost_sq, ks
     assert best is not None
     return best, kinds
+
+
+def reference_descent(instance, start, candidate_fn, max_rounds: int = 100,
+                      cap: int | None = None):
+    """Coordinate descent with a full total_cost per trial policy.
+
+    The straightforward loop: each commodity in turn tries every candidate
+    (sorted, deduplicated, skipping non-positive ones and its current
+    cycle) with the other cycles fixed, keeps the least total with ties to
+    the smaller cycle, and moves when that total is strictly lower. Returns
+    (policy, cost breakdown, trials + 1).
+    """
+    from jrp_forge.cost import total_cost
+    from jrp_forge.model import Policy
+
+    policy = start
+    current = total_cost(instance, policy, cap=cap)
+    nodes = 1
+    for _ in range(max_rounds):
+        improved = False
+        for cid in instance.ids():
+            best_t = policy.cycle(cid)
+            best_total = current.total
+            for t in sorted(set(candidate_fn(instance, policy, cid))):
+                if t <= 0 or t == policy.cycle(cid):
+                    continue
+                nodes += 1
+                trial = total_cost(instance, Policy({**policy.cycles, cid: t}),
+                                   cap=cap).total
+                if trial < best_total or (trial == best_total and t < best_t):
+                    best_t, best_total = t, trial
+            if best_total < current.total:
+                policy = Policy({**policy.cycles, cid: best_t})
+                current = total_cost(instance, policy, cap=cap)
+                improved = True
+        if not improved:
+            break
+    return policy, current, nodes

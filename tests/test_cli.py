@@ -89,6 +89,20 @@ def test_eval_malformed_instance(capsys, single_files, tmp_path):
     assert rc == 2
 
 
+def test_solve_oversized_json_integer_exits_2(capsys, tmp_path, single_files):
+    bad = tmp_path / "big.json"
+    bad.write_text('{"k0": %s, "commodities": []}' % ("1" * 5000))
+    rc, out, err = run(capsys, "solve", str(bad), "--method", "pot")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: malformed instance JSON: ")
+    ipath, _ = single_files
+    bad_policy = tmp_path / "big_policy.json"
+    bad_policy.write_text('{"cycles": {"a": %s}}' % ("1" * 5000))
+    rc, out, err = run(capsys, "eval", ipath, "--policy", str(bad_policy))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: malformed policy JSON: ")
+
+
 def test_eval_cap_exceeded(capsys, tmp_path):
     # 22 pairwise non-dividing cycles exceed a cap of 3
     primes = [4, 6, 9, 10, 14, 15]

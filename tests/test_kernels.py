@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -209,3 +210,18 @@ def test_fast_c_is_generated_from_fast_pyx():
     assert code_lines
     missing = [line for line in code_lines if line not in quoted]
     assert not missing, f"fast.c is stale; regenerate it from fast.pyx: {missing}"
+
+
+def test_pure_union_count_leaves_no_reference_cycles():
+    cases = _random_normalized_periods(100)
+    hypers = [_lcm_all(periods) for periods in cases]
+    gc.collect()
+    gc.disable()
+    try:
+        counts = [pure.union_count(periods, hyper)
+                  for periods, hyper in zip(cases, hypers)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert counts == [_set_oracle(periods, hyper)
+                      for periods, hyper in zip(cases, hypers)]

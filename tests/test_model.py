@@ -181,3 +181,26 @@ def test_policy_json_diagnostics():
         load_policy("{}")
     with pytest.raises(InputError):
         load_policy('{"cycles": {"a": "0"}}')
+
+
+_HUGE_INT = "1" * 5000      # over Python's default 4300-digit int conversion limit
+
+
+@pytest.mark.parametrize("payload", [
+    '{"k0": %s, "commodities": []}' % _HUGE_INT,
+    '{"k0": "1", "commodities": [{"id": "a", "lambda": %s, "h": "1", "k": "1"}]}'
+    % _HUGE_INT,
+    b'{"k0": "1", "commodities": [{"id": "\xff", "lambda": "1", "h": "1", "k": "1"}]}',
+])
+def test_instance_json_value_errors_are_input_errors(payload):
+    # an oversized integer literal or non-UTF-8 bytes raise ValueError inside
+    # the decoder; the loader reports them like any other malformed JSON
+    with pytest.raises(InputError, match="malformed instance JSON"):
+        load_instance(payload)
+
+
+def test_policy_json_value_errors_are_input_errors():
+    with pytest.raises(InputError, match="malformed policy JSON"):
+        load_policy('{"cycles": {"a": %s}}' % _HUGE_INT)
+    with pytest.raises(InputError, match="malformed policy JSON"):
+        load_policy(b'{"cycles": {"\xff": "1"}}')

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jrp_forge import sync
+from jrp_forge.cli import _random_instance
 from jrp_forge.cost import total_cost
-from jrp_forge.eoq import optimal_cycle, sqrt_fraction
+from jrp_forge.eoq import optimal_cycle, sqrt_fraction, standalone_cost
 from jrp_forge.model import Commodity, InputError, Instance, Policy, SeedProfile
 from jrp_forge.solve import (
+    _grid_step,
+    _pot_exponent,
     coordinate_descent,
     default_candidates,
     exhaustive_search,
@@ -18,7 +22,7 @@ from jrp_forge.solve import (
     power_of_two,
 )
 
-from .oracles import exhaustive_argmin
+from .oracles import exhaustive_argmin, reference_descent
 
 F = Fraction
 
@@ -265,6 +269,138 @@ def test_descent_matches_exhaustive_often():
         else:
             assert cd.cost.total <= ex.cost.total * F(102, 100)
     assert hits >= 30, f"descent matched exhaustive only {hits}/{trials}"
+
+
+def _typed(policy: Policy) -> dict:
+    # int and Fraction cycles compare equal; keep the type in the comparison
+    return {cid: (type(t), t) for cid, t in policy.cycles.items()}
+
+
+def _mixed_candidates(instance, policy, cid):
+    # ints and equal Fractions, duplicates, non-positive values, the current
+    # cycle and rationals derived from the others' cycles
+    others = [t for other, t in policy.cycles.items() if other != cid]
+    return ([0, -2, 1, 2, 3, 4, 6, 8, F(8), F(5, 2), F(16, 3),
+             policy.cycle(cid)]
+            + [t.numerator // t.denominator + 1 for t in others]
+            + [t * F(3, 2) for t in others[:3]])
+
+
+def test_descent_matches_total_cost_reference():
+    rng = random.Random(2024)
+    runs = int_moves = 0
+    for n in range(2, 17):
+        inst = _random_instance(rng, n)
+        rational_start = Policy({cid: F(rng.randint(1, 40), rng.randint(1, 6))
+                                 for cid in inst.ids()})
+        cases = [(None, None), (rational_start, None),
+                 (rational_start, _mixed_candidates)]
+        if n > 8:   # the reference is slow at large n: fewer cases and rounds
+            cases = [cases[0], cases[2]] if n == 16 else [cases[n % 2 * 2]]
+        for start, cand_fn in cases:
+            for max_rounds in ((1, 100) if n <= 8 else (100,)):
+                got = coordinate_descent(inst, start=start, candidate_fn=cand_fn,
+                                         max_rounds=max_rounds)
+                policy, cost, nodes = reference_descent(
+                    inst, start or coordinate_descent(inst, max_rounds=0).policy,
+                    cand_fn or default_candidates, max_rounds=max_rounds)
+                assert _typed(got.policy) == _typed(policy), (n, max_rounds)
+                assert got.cost == cost
+                assert got.nodes_explored == nodes
+                runs += 1
+                int_moves += any(type(t) is int for t in policy.cycles.values())
+    assert runs == 7 * 3 * 2 + 7 + 2
+    assert int_moves > 0
+
+
+def test_descent_cap_refusal_matches_ujr():
+    inst = trio()
+    # the start policy alone holds 2 distinct cycles
+    start = Policy({"c0": F(1), "c1": F(2), "c2": F(2)})
+    with pytest.raises(sync.CapExceeded) as from_ujr:
+        sync.ujr(list(start.cycles.values()), cap=1)
+    with pytest.raises(sync.CapExceeded) as from_descent:
+        coordinate_descent(inst, start=start, cap=1)
+    assert str(from_descent.value) == str(from_ujr.value)
+
+    # within the cap at the start; only c1 has a candidate, a new third
+    # distinct series (its own cycle 2 stays with c2) too costly to accept,
+    # so only the trial itself can refuse it
+    def new_series(instance, policy, cid):
+        return [F(100)] if cid == "c1" else []
+    with pytest.raises(sync.CapExceeded) as from_ujr:
+        sync.ujr([F(1), F(100), F(2)], cap=2)
+    with pytest.raises(sync.CapExceeded) as from_descent:
+        coordinate_descent(inst, start=start, candidate_fn=new_series, cap=2)
+    with pytest.raises(sync.CapExceeded) as from_reference:
+        reference_descent(inst, start, new_series, cap=2)
+    assert str(from_descent.value) == str(from_ujr.value) \
+        == str(from_reference.value)
+
+    # a trial cycle another commodity already has adds no distinct series:
+    # c2 tries c0's cycle 1 against the others' two distinct series
+    def repeated_series(instance, policy, cid):
+        return [F(1)] if cid == "c2" else []
+    res = coordinate_descent(inst, start=start, candidate_fn=repeated_series,
+                             cap=2)
+    assert (res.policy, res.nodes_explored) == (start, 2)
+    assert res.policy == reference_descent(inst, start, repeated_series,
+                                           cap=2)[0]
+
+
+def test_pot_exponent_matches_cost_comparison():
+    rng = random.Random(99)
+    signs = Counter()
+    for _ in range(400):
+        c = Commodity("a", F(rng.randint(1, 9), rng.randint(1, 3)),
+                      F(rng.randint(1, 50), rng.randint(1, 9)),
+                      F(rng.randint(1, 10**4), rng.randint(1, 40)))
+        base = F(rng.randint(1, 10**4), rng.randint(1, 10**3))
+        t_sq = 2 * c.setup / (c.demand * c.holding)
+        m = _pot_exponent(t_sq, base * base)
+        # the g-minimizing exponent, ties to the smaller m
+        costs = {e: standalone_cost(c, base * F(2) ** e) for e in range(m - 3, m + 4)}
+        assert min(costs, key=lambda e: (costs[e], e)) == m
+        # base*2^m in [t/sqrt(2), t*sqrt(2)), in squares, for t^2 = t_sq and
+        # for a joint-setup target of another rational square
+        target_sq = t_sq * F(rng.randint(1, 20), rng.randint(1, 20))
+        for sq in (t_sq, target_sq):
+            e = _pot_exponent(sq, base * base)
+            x_sq = (base * F(2) ** e) ** 2
+            assert sq / 2 <= x_sq < 2 * sq
+        signs[(m > 0) - (m < 0)] += 1
+    assert signs[-1] > 50 and signs[1] > 50 and signs[0] > 0
+    # exact half-points go down: x = base*2^m with x^2 = t^2/2 is kept, so
+    # x^2 = 2*t^2 is not
+    assert _pot_exponent(F(8), F(1)) == 1           # x = 2, x^2 = 4
+    assert _pot_exponent(F(1, 8), F(1)) == -2       # x = 1/4, x^2 = 1/16
+    assert _pot_exponent(F(1, 2), F(1)) == -1       # not x = 1, x^2 = 1
+
+
+# round(2**(24 + j/64)) for j = 0..63, the default grid of power_of_two
+GRID_64 = (
+    16777216, 16959908, 17144589, 17331282, 17520007, 17710787, 17903645,
+    18098603, 18295684, 18494911, 18696307, 18899897, 19105703, 19313750,
+    19524063, 19736666, 19951585, 20168843, 20388467, 20610483, 20834917,
+    21061794, 21291142, 21522987, 21757357, 21994279, 22233781, 22475891,
+    22720638, 22968049, 23218155, 23470984, 23726566, 23984932, 24246111,
+    24510133, 24777031, 25046835, 25319578, 25595290, 25874004, 26155754,
+    26440571, 26728490, 27019544, 27313768, 27611195, 27911861, 28215802,
+    28523052, 28833647, 29147625, 29465022, 29785875, 30110222, 30438101,
+    30769550, 31104608, 31443315, 31785710, 32131834, 32481727, 32835430,
+    33192984,
+)
+
+
+def test_grid_steps_are_exact_roots():
+    assert tuple(_grid_step(j, 64) for j in range(64)) == GRID_64
+    for j, x in enumerate(GRID_64):
+        # x - 1/2 < 2^(24 + j/64) < x + 1/2, raised to the 64th power
+        assert (2 * x - 1) ** 64 < 2 ** (25 * 64 + j) < (2 * x + 1) ** 64
+    # the float formula the grid used before agrees on every grid up to 256
+    for grid in range(1, 257):
+        assert [_grid_step(j, grid) for j in range(grid)] \
+            == [round(2 ** (j / grid) * 2 ** 24) for j in range(grid)], grid
 
 
 def test_power_of_two_fixed_base_example():
