@@ -1,52 +1,80 @@
-"""Benchmark the compiled union/epoch kernels against the pure-Python lane.
+"""Time the union-count kernels: the dispatcher beside both IE lanes.
 
-Runs the same workloads through both backends and prints per-call timings
-and the speedup. The workloads mirror real usage: prime-product period sets
-(what the 3SAT reduction produces) and random composite sets.
+Per workload and lane (pure, and compiled when the extension is built) it
+prints microseconds per count of two routes to the same number:
 
-Usage: python bench/compare_kernels.py [--trials 200] [--rng-seed 0]
+- IE: the lane's inclusion-exclusion alone (`_kernels._ie`; the compiled
+  lane counts a hyperperiod over 2**63-1 in Python, as the dispatcher does);
+- dispatch: `_kernels.union_count`, which splits a set of more than
+  `_IE_LEAF` periods on a coprime base and counts the small leaves by IE.
+
+The workloads mirror real usage: the pruned period sets of 3SAT reductions
+(one per assignment) and random composite sets. Then a table by candidate
+`_IE_LEAF` value times the dispatcher on the reduction workload in each lane,
+and a table by set size compares IE with one split (`_kernels._split_count`)
+whose leaves use each lane. Together they set `_IE_LEAF`.
+
+Usage: python bench/compare_kernels.py [--rounds 5] [--rng-seed 0]
+Each cell is the median over `--rounds` of the mean time per call, where a
+round repeats the workload until at least 0.05 s have passed.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import random
+import statistics
 import time
-from math import gcd
+from math import lcm
 
+from jrp_forge import _kernels
 from jrp_forge._kernels import pure
+from jrp_forge.reduction import clause_target, select_prime_pairs
 
 try:
     from jrp_forge._kernels import fast
 except ImportError:
     fast = None
 
+ROUND_S = 0.05
+LEAF_SIZES = range(4, 13)
+CROSSOVER_SIZES = range(5, 15)
+
 
 def _drop_multiples(periods: list[int]) -> list[int]:
-    # a period divisible by another adds no epochs; the kernel requires none
-    # (sync prunes them before every call)
+    # a period divisible by another adds no epochs; sync prunes them before
+    # every call
     return [p for p in periods if not any(q != p and p % q == 0 for q in periods)]
 
 
-def reduction_workload() -> list[tuple[list[int], int]]:
-    # the period sets of a 3-variable reduction after sync's pruning: a
-    # clause period, 11*17*29 or 13*19*31, is dropped as soon as one of its
-    # primes is a picked period, so only the all-low and all-high picks keep one
-    primes = [(11, 13), (17, 19), (29, 31)]
-    anchor = 7
+def reduction_sets(n: int, clauses) -> list[tuple[list[int], int]]:
+    """One pruned period set per assignment of a reduced n-variable formula:
+    each variable's picked prime, the anchors 7*low and 7*high of every pair,
+    and every clause target (the product of its three literal primes)."""
+    pairs = select_prime_pairs(n)
+    anchors = [7 * q for p in pairs for q in (p.low, p.high)]
+    targets = [clause_target(clause, pairs) for clause in clauses]
     cases = []
-    for pick in range(8):
-        periods = []
-        for i, (lo, hi) in enumerate(primes):
-            on_high = pick >> i & 1
-            periods.append(hi if on_high else lo)
-            periods.append((lo if on_high else hi) * anchor)
-        periods.append(11 * 17 * 29)
-        periods.append(13 * 19 * 31)
-        periods = _drop_multiples(periods)
-        hyper = 1
-        for p in periods:
-            hyper = hyper * p // gcd(hyper, p)
-        cases.append((sorted(periods), hyper))
+    for bits in itertools.product((False, True), repeat=n):
+        picked = [p.high if on else p.low for p, on in zip(pairs, bits)]
+        periods = _drop_multiples(sorted(set(picked + anchors + targets)))
+        cases.append((periods, lcm(*periods)))
+    return cases
+
+
+def random_clauses(rng: random.Random, n: int, m: int) -> list[tuple[int, ...]]:
+    return [tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, n + 1), 3)) for _ in range(m)]
+
+
+def reduction_workload(rng: random.Random) -> list[tuple[list[int], int]]:
+    # three formulas per n = 3..6 with 3n + m <= 20, the roundtrip shape
+    cases = []
+    for n in range(3, 7):
+        for _ in range(3):
+            m = rng.randint(1, 20 - 3 * n)
+            cases += reduction_sets(n, random_clauses(rng, n, m))
     return cases
 
 
@@ -57,48 +85,100 @@ def random_workload(rng: random.Random, count: int) -> list[tuple[list[int], int
         kept = _drop_multiples(periods)
         if not kept:
             continue
-        hyper = 1
-        for p in kept:
-            hyper = hyper * p // gcd(hyper, p)
+        hyper = lcm(*kept)
         if hyper > 2 ** 62:
             continue
         cases.append((kept, hyper))
     return cases
 
 
-def time_backend(mod, cases, trials: int) -> float:
-    start = time.perf_counter()
-    for _ in range(trials):
-        for periods, hyper in cases:
-            mod.union_count(periods, hyper)
-    return (time.perf_counter() - start) / (trials * len(cases))
+def time_per_call(count, cases, rounds: int) -> float:
+    """Median over rounds of the mean seconds per call of count(periods, hyper)."""
+    means = []
+    for _ in range(rounds):
+        calls = 0
+        start = time.perf_counter()
+        while True:
+            for periods, hyper in cases:
+                count(periods, hyper)
+            calls += len(cases)
+            elapsed = time.perf_counter() - start
+            if elapsed >= ROUND_S:
+                break
+        means.append(elapsed / calls)
+    return statistics.median(means)
+
+
+@contextlib.contextmanager
+def patched(name, value):
+    """Set one `_kernels` global for the block: `_fast` to the compiled
+    module or None (pure lane), or `_IE_LEAF`."""
+    saved = getattr(_kernels, name)
+    setattr(_kernels, name, value)
+    try:
+        yield
+    finally:
+        setattr(_kernels, name, saved)
+
+
+def check(cases) -> None:
+    for periods, hyper in cases:
+        expected = pure.union_count(periods, hyper)
+        assert _kernels.union_count(periods, hyper) == expected, (periods, hyper)
+        assert _kernels._split_count(periods, hyper) == expected, (periods, hyper)
+        if fast is not None and hyper <= _kernels._I64_MAX:
+            assert fast.union_count(periods, hyper) == expected, (periods, hyper)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--trials", type=int, default=200)
+    ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--rng-seed", type=int, default=0)
     args = ap.parse_args()
 
     rng = random.Random(args.rng_seed)
+    reduction = reduction_workload(rng)
     workloads = [
-        ("reduction(n=3)", reduction_workload()),
+        ("reduction(n=3..6)", reduction),
         ("random-composite", random_workload(rng, 32)),
     ]
+    lanes = [("pure", None)] + ([("fast", fast)] if fast is not None else [])
+    print(f"compiled lane: {'built' if fast else 'not built'}; "
+          f"_IE_LEAF = {_kernels._IE_LEAF}")
+    print("us/call; the fast lane counts a hyperperiod over 2**63-1 in Python")
     for name, cases in workloads:
-        # correctness cross-check before timing
-        for periods, hyper in cases:
-            expected = pure.union_count(periods, hyper)
-            if fast is not None:
-                got = fast.union_count(periods, hyper)
-                assert got == expected, (periods, hyper, got, expected)
-        t_pure = time_backend(pure, cases, args.trials)
-        line = f"{name:18s} pure {t_pure * 1e6:9.2f} us/call"
-        if fast is not None:
-            t_fast = time_backend(fast, cases, args.trials)
-            line += f"   fast {t_fast * 1e6:9.2f} us/call   speedup {t_pure / t_fast:6.1f}x"
-        else:
-            line += "   (compiled kernel unavailable)"
+        check(cases)
+        line = f"{name:18s}"
+        for lane, module in lanes:
+            with patched("_fast", module):
+                t_ie = time_per_call(_kernels._ie, cases, args.rounds)
+                t_dispatch = time_per_call(_kernels.union_count, cases, args.rounds)
+            line += f"   {lane}: IE {t_ie * 1e6:9.2f}  dispatch {t_dispatch * 1e6:9.2f}"
+        print(line)
+
+    print("\ndispatch on reduction(n=3..6) by _IE_LEAF, us/call")
+    print("leaf" + "".join(f"  {lane:>8s}" for lane, _ in lanes))
+    for leaf in LEAF_SIZES:
+        line = f"{leaf:4d}"
+        for _, module in lanes:
+            with patched("_fast", module), patched("_IE_LEAF", leaf):
+                line += f"  {time_per_call(_kernels.union_count, reduction, args.rounds) * 1e6:8.1f}"
+        print(line)
+
+    print("\nus/call of IE and of one split with IE leaves, by set size")
+    print("size  sets" + "".join(f"  {lane + '-IE':>10s}  {lane + '-split':>10s}"
+                                 for lane, _ in lanes))
+    by_size = {k: [c for c in reduction if len(c[0]) == k] for k in CROSSOVER_SIZES}
+    for k, cases in by_size.items():
+        if not cases:
+            continue
+        cases = cases[:24]
+        line = f"{k:4d}  {len(cases):4d}"
+        for _, module in lanes:
+            with patched("_fast", module):
+                t_ie = time_per_call(_kernels._ie, cases, args.rounds)
+                t_split = time_per_call(_kernels._split_count, cases, args.rounds)
+            line += f"  {t_ie * 1e6:10.1f}  {t_split * 1e6:10.1f}"
         print(line)
 
 

@@ -1,12 +1,26 @@
 """Integer counting kernels with a compiled fast path.
 
-The compiled extension handles the common case where every epoch fits in a
-signed 64-bit integer; arbitrary-precision inputs (hyperperiods >= 2**63,
-as produced by the instance generator's prime products under large seeds)
-route to the pure-Python implementation automatically, as does every input
-when the extension is not built.
+`union_count` counts the epochs in (0, hyper] that are a multiple of at
+least one period. A set of at most `_IE_LEAF` periods goes to a lane's
+inclusion-exclusion (IE), which sums 2^k signed terms: the compiled
+extension when every epoch fits in a signed 64-bit integer, the pure-Python
+implementation for arbitrary-precision inputs (hyperperiods >= 2**63, as
+produced by the instance generator's prime products under large seeds) and
+for every input when the extension is not built.
+
+A larger set is split exactly instead. Its periods are refined by gcds into
+a pairwise-coprime base, which needs no factoring. The count of residues
+modulo the lcm that no period covers is then split on the base element b
+that divides the most periods: a residue whose b-part is exactly b^e (of
+b^top in the lcm) is covered exactly when the rest of it is covered by the
+periods with at most e factors of b, with b divided out, by the Chinese
+remainder theorem; b need not be prime. A pairwise-coprime set is counted
+as the product of (p - 1), a set of at most `_IE_LEAF` periods by IE in the
+lane its own lcm selects, and each distinct set once per call.
 """
 from __future__ import annotations
+
+from math import gcd, lcm, prod
 
 from . import pure
 
@@ -16,6 +30,9 @@ except ImportError:
     _fast = None
 
 _I64_MAX = 2**63 - 1
+# Largest set counted by inclusion-exclusion rather than split: the crossover
+# measured in BENCH_2026-10-18_kernel-split.json.
+_IE_LEAF = 7
 
 
 def backend() -> str:
@@ -23,15 +40,121 @@ def backend() -> str:
     return "fast" if _fast is not None else "pure"
 
 
-def union_count(periods, hyper):
-    """|union of multiples of each period in (0, hyper]| via inclusion-exclusion.
-
-    Preconditions (caller-enforced): positive integers, each dividing hyper,
-    no duplicates, no period dividing another.
-    """
+def _ie(ps, hyper):
     if _fast is not None and hyper <= _I64_MAX:
-        return _fast.union_count(list(periods), hyper)
-    return pure.union_count(list(periods), hyper)
+        return _fast.union_count(ps, hyper)
+    return pure.union_count(ps, hyper)
+
+
+def union_count(periods, hyper):
+    """|union of multiples of each period in (0, hyper]|, exactly.
+
+    Preconditions (caller-enforced): positive integers, each dividing hyper.
+    Duplicates and periods that divide another are counted correctly, but
+    callers prune them first.
+    """
+    ps = list(periods)
+    if len(ps) <= _IE_LEAF:
+        return _ie(ps, hyper)
+    return _split_count(ps, hyper)
+
+
+def _split_count(ps, hyper):
+    """union_count through the coprime-base split, at any set size."""
+    kept = _absorb(ps)
+    own = lcm(*kept)
+    missed = _uncovered(tuple(kept), own, _coprime_base(kept), {})
+    return hyper - missed * (hyper // own)
+
+
+def _absorb(ps):
+    """Sorted distinct periods that no other period divides."""
+    kept = []
+    for q in sorted(set(ps)):
+        for p in kept:
+            if q % p == 0:
+                break
+        else:
+            kept.append(q)
+    return kept
+
+
+def _coprime_base(nums):
+    """Sorted pairwise-coprime integers > 1 of which every num is a product
+    of powers, by gcd refinement."""
+    base = set()
+    whole = 1                       # product of the base
+    todo = list(nums)
+    while todo:
+        x = todo.pop()
+        if gcd(x, whole) == 1:
+            if x != 1:
+                base.add(x)
+                whole *= x
+            continue
+        for b in base:
+            g = gcd(x, b)
+            if g != 1:
+                break
+        if g != b:
+            base.remove(b)
+            whole //= b
+            todo += (g, b // g)
+        if g != x:
+            todo.append(x // g)
+    return sorted(base)
+
+
+def _uncovered(ps, hyper, base, memo):
+    """Residues modulo hyper = lcm(ps) that no period in the sorted antichain
+    ps divides. Module-level recursion, so a call leaves no reference cycle."""
+    got = memo.get(ps)
+    if got is None:
+        if prod(ps) == hyper:       # pairwise coprime, empty included
+            got = prod(p - 1 for p in ps)
+        elif len(ps) <= _IE_LEAF:
+            got = hyper - _ie(list(ps), hyper)
+        else:
+            got = _split(ps, hyper, base, memo)
+        memo[ps] = got
+    return got
+
+
+def _split(ps, hyper, base, memo):
+    """_uncovered by levels of the base element that divides most periods;
+    ps is not pairwise coprime, so one divides at least two."""
+    b, most = 0, 1
+    for d in base:
+        n = 0
+        for p in ps:
+            if p % d == 0:
+                n += 1
+        if n > most:
+            b, most = d, n
+    by_level = {0: []}              # b-exponent -> periods with b divided out
+    for p in ps:
+        e = 0
+        while p % b == 0:
+            p //= b
+            e += 1
+        by_level.setdefault(e, []).append(p)
+    levels = sorted(by_level)
+    top = levels[-1]
+    rest_hyper = hyper // b**top
+    total = 0
+    kept = []
+    for i, e in enumerate(levels):
+        # kept and new are antichains (new lost the same power of b), so only
+        # a pair across them can absorb one member; a period b^e becomes 1
+        # here and absorbs every other
+        new = [q for q in by_level[e] if all(q % p for p in kept)]
+        kept = sorted([p for p in kept if all(p % q for q in new)] + new)
+        # residues mod b^top that b^e divides but b^next does not (0 at top)
+        weight = b**(top - e) - b**(top - levels[i + 1]) if e < top else 1
+        sub_hyper = lcm(*kept)
+        total += weight * (rest_hyper // sub_hyper) * _uncovered(
+            tuple(kept), sub_hyper, base, memo)
+    return total
 
 
 def epoch_count(periods, hyper):

@@ -1,4 +1,10 @@
-"""Pure-Python kernels; exact for arbitrary-precision integers."""
+"""Pure-Python kernels; exact for arbitrary-precision integers.
+
+`union_count` is this lane's inclusion-exclusion. The dispatcher in
+`_kernels` calls it for sets of at most `_IE_LEAF` periods and for the
+small leaves of its coprime-base split, whenever the compiled lane is not
+built or the hyperperiod does not fit in a signed 64-bit integer.
+"""
 from __future__ import annotations
 
 from math import gcd

@@ -226,15 +226,18 @@ def _commodity_from_obj(obj: object, idx: int) -> Commodity:
 
 
 def _load_json(data: bytes | str, what: str) -> object:
-    """json.loads, with every ValueError it can raise reported as InputError:
-    malformed JSON, bytes that are not UTF-8, and an integer literal over
-    the interpreter's limit on digits converted to int."""
+    """json.loads, with every error that input can cause reported as
+    InputError: malformed JSON, bytes that are not UTF-8, an integer literal
+    over the interpreter's limit on digits converted to int, and nesting
+    deeper than the decoder's recursion allows."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         return json.loads(data)
     except ValueError as exc:
         raise InputError(f"malformed {what} JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"malformed {what} JSON: nested too deeply") from None
 
 
 def load_instance(data: bytes | str) -> Instance:

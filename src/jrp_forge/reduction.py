@@ -350,35 +350,58 @@ def reduction_to_json(output: ReductionOutput) -> bytes:
     return save_instance(output.instance)
 
 
+def _meta_get(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise InputError(f"reduction JSON {where} must be an object")
+    if key not in obj:
+        raise InputError(f"reduction JSON {where} missing {key!r}")
+    return obj[key]
+
+
+def _meta_int(value, where: str) -> int:
+    """An integer, or the decimal text of one (object keys are text)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{where}: expected an integer, got {value!r}")
+
+
 def reduction_from_json(data: bytes | str) -> ReductionOutput:
     instance = load_instance(data)
     meta = instance.meta
     if not isinstance(meta, dict):
         raise InputError("reduction JSON missing 'meta' object")
-    try:
-        delta = parse_rational(meta["delta"], where="meta.delta")
-        raw_pairs = meta["pairs"]
-        scheme = meta["constants_scheme"]
-        raw_alpha = meta["alpha"]
-        raw_targets = meta["clause_targets"]
-    except KeyError as exc:
-        raise InputError(f"reduction JSON meta missing {exc.args[0]!r}") from None
+    delta = parse_rational(_meta_get(meta, "delta", "meta"), where="meta.delta")
+    raw_pairs = _meta_get(meta, "pairs", "meta")
+    scheme = _meta_get(meta, "constants_scheme", "meta")
+    raw_alpha = _meta_get(meta, "alpha", "meta")
+    raw_targets = _meta_get(meta, "clause_targets", "meta")
+    if not isinstance(raw_pairs, list):
+        raise InputError("meta.pairs must be a list")
     pairs = []
-    for i, (low, gap, high) in enumerate(raw_pairs, start=1):
-        pair = PrimePair(index=i, low=int(low), gap=int(gap))
-        if pair.high != int(high):
-            raise InputError(
-                f"meta.pairs[{i - 1}]: {high} != {low} + {gap}")
+    for i, row in enumerate(raw_pairs, start=1):
+        where = f"meta.pairs[{i - 1}]"
+        if not isinstance(row, list) or len(row) != 3:
+            raise InputError(f"{where}: expected [low, gap, high], got {row!r}")
+        low, gap, high = (_meta_int(v, where) for v in row)
+        pair = PrimePair(index=i, low=low, gap=gap)
+        if pair.high != high:
+            raise InputError(f"{where}: {high} != {low} + {gap}")
         pairs.append(pair)
     pairs = tuple(pairs)
-    alpha = ReductionConstants(
-        alpha_c=parse_rational(raw_alpha["alpha_c"], where="meta.alpha.alpha_c"),
-        alpha_v_bar=parse_rational(raw_alpha["alpha_v_bar"],
-                                   where="meta.alpha.alpha_v_bar"),
-        alpha_v=parse_rational(raw_alpha["alpha_v"], where="meta.alpha.alpha_v"),
-        alpha_n=parse_rational(raw_alpha["alpha_n"], where="meta.alpha.alpha_n"),
-    )
-    clause_targets = {int(j): int(t) for j, t in raw_targets.items()}
+    alpha = ReductionConstants(**{
+        name: parse_rational(_meta_get(raw_alpha, name, "meta.alpha"),
+                             where=f"meta.alpha.{name}")
+        for name in ("alpha_c", "alpha_v_bar", "alpha_v", "alpha_n")})
+    if not isinstance(raw_targets, dict):
+        raise InputError("meta.clause_targets must be an object")
+    clause_targets = {
+        _meta_int(j, "meta.clause_targets"): _meta_int(t, f"meta.clause_targets[{j!r}]")
+        for j, t in raw_targets.items()}
     anchor_targets: dict[str, int] = {}
     for c in instance.commodities:
         if c.kind in (CommodityKind.CONSTANT, CommodityKind.CLAUSE):

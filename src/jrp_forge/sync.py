@@ -6,8 +6,12 @@ joint-replenishment rate UJR is the density of epochs where at least one
 series orders; the intersection rate IJR is the density of epochs where
 every given family has some series ordering. Both are exact rationals.
 
-Inclusion-exclusion runs over at most `cap` distinct series (default 20);
-larger inputs raise CapExceeded and should go through ujr_enumerate.
+Each union is counted over one hyperperiod by `_kernels.union_count`: by
+inclusion-exclusion for a few series, and above that by an exact split on a
+pairwise-coprime base of the periods with inclusion-exclusion only at small
+leaves. The cap keeps its meaning: at most `cap` distinct series (default
+20) per rate, counted before pruning by ujr and after it by ijr; larger
+inputs raise CapExceeded and should go through ujr_enumerate.
 """
 from __future__ import annotations
 
@@ -141,7 +145,7 @@ def ujr(families, cap: int | None = None) -> Fraction:
     """Union joint-replenishment rate |union of all series| / hyperperiod.
 
     Grouping is irrelevant for a union, so the input may be flat periods,
-    one family, or a collection of families. Exact inclusion-exclusion.
+    one family, or a collection of families. Exact.
     """
     ints, scale = _scale_to_integers(_flatten(families, "ujr"))
     distinct = set(ints)
@@ -199,8 +203,8 @@ def ijr(families, cap: int | None = None) -> Fraction:
 
     The intersection of unions expands to a union over one series per
     family, each with period lcm(choice); the expansion is deduplicated and
-    absorbed before inclusion-exclusion. The cap applies to the series that
-    remain after absorption.
+    absorbed before counting. The cap applies to the series that remain
+    after absorption.
     """
     cap = DEFAULT_IE_CAP if cap is None else cap
     int_fams, scale = _int_families(families, "ijr")

@@ -103,6 +103,14 @@ def test_solve_oversized_json_integer_exits_2(capsys, tmp_path, single_files):
     assert err.startswith("error: malformed policy JSON: ")
 
 
+def test_solve_deeply_nested_json_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"k0": "1", "commodities": %s}' % ("[" * 100000 + "]" * 100000))
+    rc, out, err = run(capsys, "solve", str(deep), "--method", "pot")
+    assert (rc, out) == (2, "")
+    assert err == "error: malformed instance JSON: nested too deeply\n"
+
+
 def test_eval_cap_exceeded(capsys, tmp_path):
     # 22 pairwise non-dividing cycles exceed a cap of 3
     primes = [4, 6, 9, 10, 14, 15]

@@ -14,11 +14,13 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrp_forge import _kernels
 from jrp_forge._kernels import pure
+from jrp_forge.reduction import clause_target, select_prime_pairs
 
 _REPO = Path(__file__).resolve().parent.parent
 _SETUP_PY = _REPO / "setup.py"
@@ -54,10 +56,10 @@ def _subset_oracle(periods, hyper):
 
 
 def _reduction_n3_periods():
-    # the reduction(n=3) workload of bench/compare_kernels.py, one period set
-    # per assignment; some sets hold a period and one of its multiples, which
-    # inclusion-exclusion counts exactly all the same. Their hyperperiod is
-    # about 2.9e8, too long to enumerate.
+    # unpruned period sets of a 3-variable reduction, one per assignment;
+    # some sets hold a period and one of its multiples, which both the
+    # inclusion-exclusion and the split count exactly all the same. Their
+    # hyperperiod is about 2.9e8, too long to enumerate.
     pairs = [(11, 13), (17, 19), (29, 31)]
     cases = []
     for pick in range(8):
@@ -85,6 +87,56 @@ def _random_normalized_periods(count=200):
                     break
         cases.append(sorted(periods))
     return cases
+
+
+def _reduction_sets(n, clauses):
+    # what verify_roundtrip counts at seed 1, one pruned set per assignment:
+    # the picked primes, the anchors 7*low and 7*high of every pair, and the
+    # clause targets
+    pairs = select_prime_pairs(n)
+    fixed = [7 * q for p in pairs for q in (p.low, p.high)]
+    fixed += [clause_target(clause, pairs) for clause in clauses]
+    return [_normalize([p.high if on else p.low for p, on in zip(pairs, bits)]
+                       + fixed)
+            for bits in itertools.product((False, True), repeat=n)]
+
+
+def _reduction_shaped_cases():
+    rng = random.Random(6)
+    cases = []
+    for n, m in ((3, 11), (4, 8), (5, 5), (6, 2), (6, 4)):
+        clauses = [tuple(v * rng.choice((1, -1))
+                         for v in rng.sample(range(1, n + 1), 3))
+                   for _ in range(m)]
+        cases += _reduction_sets(n, clauses)
+    return cases
+
+
+def _random_antichain(rng, pool, size):
+    # greedy in a random order, restarted when it gets stuck short of size
+    while True:
+        periods = []
+        for d in rng.sample(pool, len(pool)):
+            if all(d % p and p % d for p in periods):
+                periods.append(d)
+                if len(periods) == size:
+                    return sorted(periods)
+
+
+def _antichain_of_divisors(rng, size, of=27720):
+    return _random_antichain(rng, [d for d in range(2, of + 1) if of % d == 0], size)
+
+
+def _squarefree_products(rng, size, primes=(2, 3, 5, 7, 11, 13, 17, 19, 23)):
+    while True:
+        periods = _normalize(math.prod(rng.sample(primes, rng.randint(2, 3)))
+                             for _ in range(size + 4))
+        if len(periods) >= size:
+            return periods[:size]
+
+
+def _above_leaf(cases):
+    return [ps for ps in cases if _kernels._IE_LEAF < len(ps) <= 14]
 
 
 def test_backend_reports_lane():
@@ -162,19 +214,26 @@ def test_compiled_lane_is_active_here(tmp_path):
 
     ie_cases = [(ps, _lcm_all(ps)) for ps in _reduction_n3_periods()]
     enum_cases = [(ps, _lcm_all(ps)) for ps in _random_normalized_periods()]
+    # the split with compiled leaves, or pure ones past int64
+    rng = random.Random(11)
+    split_cases = [(ps, _lcm_all(ps)) for ps in
+                   _above_leaf(_reduction_shaped_cases())[::4]
+                   + [_antichain_of_divisors(rng, size)
+                      for size in range(_kernels._IE_LEAF + 1, 15)]]
     code = (
         "import json, sys, jrp_forge\n"
-        "from jrp_forge._kernels import backend, fast\n"
-        "ie_cases, enum_cases = json.load(sys.stdin)\n"
+        "from jrp_forge._kernels import backend, fast, union_count\n"
+        "ie_cases, enum_cases, split_cases = json.load(sys.stdin)\n"
         "print(json.dumps({'origin': jrp_forge.__file__, 'lane': backend(),\n"
         "    'ie': [fast.union_count(p, h) for p, h in ie_cases],\n"
         "    'enum': [[fast.union_count(p, h), fast.epoch_count(p, h)]\n"
-        "             for p, h in enum_cases]}))\n"
+        "             for p, h in enum_cases],\n"
+        "    'split': [union_count(p, h) for p, h in split_cases]}))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         cwd=tmp_path, capture_output=True, text=True,
-        input=json.dumps([ie_cases, enum_cases]),
+        input=json.dumps([ie_cases, enum_cases, split_cases]),
         env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
     )
     assert proc.returncode == 0, proc.stderr + build.stdout + build.stderr
@@ -193,6 +252,9 @@ def test_compiled_lane_is_active_here(tmp_path):
         assert pure.union_count(periods, hyper) == expected
         assert pure.epoch_count(periods, hyper) == expected
         assert fast_counts == [expected, expected], periods
+    assert len(got["split"]) == len(split_cases)
+    for (periods, hyper), split_count in zip(split_cases, got["split"]):
+        assert split_count == pure.union_count(periods, hyper), periods
 
 
 @pytest.mark.skipif(not (_FAST_PYX.is_file() and _FAST_C.is_file()),
@@ -213,15 +275,116 @@ def test_fast_c_is_generated_from_fast_pyx():
 
 
 def test_pure_union_count_leaves_no_reference_cycles():
+    # and neither does the split above the leaf size
     cases = _random_normalized_periods(100)
+    large = _above_leaf(_reduction_shaped_cases())[::8]
+    rng = random.Random(10)
+    large += [_antichain_of_divisors(rng, size)
+              for size in range(_kernels._IE_LEAF + 1, 15)]
     hypers = [_lcm_all(periods) for periods in cases]
+    large_hypers = [_lcm_all(periods) for periods in large]
     gc.collect()
     gc.disable()
     try:
         counts = [pure.union_count(periods, hyper)
                   for periods, hyper in zip(cases, hypers)]
+        split_counts = [_kernels.union_count(periods, hyper)
+                        for periods, hyper in zip(large, large_hypers)]
         assert gc.collect() == 0
     finally:
         gc.enable()
     assert counts == [_set_oracle(periods, hyper)
                       for periods, hyper in zip(cases, hypers)]
+    assert split_counts == [pure.union_count(periods, hyper)
+                            for periods, hyper in zip(large, large_hypers)]
+
+
+def test_split_matches_inclusion_exclusion_on_reduction_sets():
+    cases = _above_leaf(_reduction_shaped_cases())
+    assert {len(ps) for ps in cases} == set(range(_kernels._IE_LEAF + 1, 15))
+    for periods in cases:
+        hyper = _lcm_all(periods)
+        assert _kernels.union_count(periods, hyper) == pure.union_count(periods, hyper)
+
+
+def test_split_matches_enumeration_on_divisor_antichains():
+    rng = random.Random(7)
+    for size in range(_kernels._IE_LEAF + 1, 15):
+        for _ in range(12):
+            periods = _antichain_of_divisors(rng, size)
+            hyper = _lcm_all(periods) * rng.choice((1, 2))
+            assert _kernels.union_count(periods, hyper) == _set_oracle(periods, hyper)
+
+
+def test_split_matches_subset_oracle_on_squarefree_products():
+    rng = random.Random(8)
+    for size in range(_kernels._IE_LEAF + 1, 15):
+        for _ in range(3):
+            periods = _squarefree_products(rng, size)
+            hyper = _lcm_all(periods)
+            assert _kernels.union_count(periods, hyper) == _subset_oracle(periods, hyper)
+
+
+def test_split_on_composite_base_elements():
+    # atoms 6, 35, 143 and 323 never split, so the base holds them (or their
+    # powers) whole and the split runs on non-prime b
+    atoms = (6, 35, 143, 323)
+    pool = [math.prod(a**e for a, e in zip(atoms, exps))
+            for exps in itertools.product(range(3), repeat=4)][1:]
+    rng = random.Random(9)
+    for size in range(_kernels._IE_LEAF + 1, 15):
+        periods = _random_antichain(rng, pool, size)
+        base = _kernels._coprime_base(periods)
+        assert not any(sympy.isprime(b) for b in base)
+        hyper = _lcm_all(periods)
+        assert _kernels.union_count(periods, hyper) == pure.union_count(periods, hyper)
+
+
+def test_split_absorbs_unpruned_periods():
+    # duplicates and multiples are allowed: the split absorbs them first
+    for periods in _reduction_n3_periods():
+        hyper = _lcm_all(periods)
+        assert len(periods) > _kernels._IE_LEAF
+        expected = _subset_oracle(periods, hyper)
+        assert _kernels.union_count(periods, hyper) == expected
+        assert _kernels.union_count(periods + periods[:2], hyper) == expected
+
+
+class _NoCompiledCalls:
+    def union_count(self, periods, hyper):
+        raise AssertionError(f"compiled lane got hyper {hyper}")
+
+
+def test_split_sends_leaves_past_int64_to_the_pure_lane(monkeypatch):
+    # the products of pairs of five primes near 2**40: every leaf's lcm is a
+    # product of at least three of them, so every leaf needs the pure lane,
+    # even where the compiled lane is built
+    primes = [sympy.nextprime(2**40 + 1000 * i) for i in range(5)]
+    periods = sorted(a * b for a, b in itertools.combinations(primes, 2))
+    hyper = _lcm_all(periods)
+    assert len(periods) > _kernels._IE_LEAF and hyper > 2**63
+    leaf_hypers = []
+
+    def spy(ps, h):
+        leaf_hypers.append(h)
+        return pure_union_count(ps, h)
+
+    pure_union_count = pure.union_count
+    monkeypatch.setattr(pure, "union_count", spy)
+    monkeypatch.setattr(_kernels, "_fast", _NoCompiledCalls())
+    got = _kernels.union_count(periods, hyper)
+    assert leaf_hypers and min(leaf_hypers) > _kernels._I64_MAX
+    assert got == _subset_oracle(periods, hyper)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=10**6), max_size=12))
+def test_coprime_base_refines_every_number(nums):
+    base = _kernels._coprime_base(nums)
+    assert all(b > 1 for b in base)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+    for x in nums:
+        for b in base:
+            while x % b == 0:
+                x //= b
+        assert x == 1

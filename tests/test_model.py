@@ -204,3 +204,13 @@ def test_policy_json_value_errors_are_input_errors():
         load_policy('{"cycles": {"a": %s}}' % _HUGE_INT)
     with pytest.raises(InputError, match="malformed policy JSON"):
         load_policy(b'{"cycles": {"\xff": "1"}}')
+
+
+_DEEP = "[" * 100000 + "]" * 100000     # nested past the decoder's recursion limit
+
+
+def test_deeply_nested_json_is_input_error():
+    with pytest.raises(InputError, match="malformed instance JSON: nested too deeply"):
+        load_instance('{"k0": "1", "commodities": %s}' % _DEEP)
+    with pytest.raises(InputError, match="malformed policy JSON: nested too deeply"):
+        load_policy('{"cycles": {"a": %s}}' % _DEEP)

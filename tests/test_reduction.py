@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -283,6 +284,28 @@ def test_reduction_json_roundtrip():
     assert dict(back.anchor_targets) == dict(out.anchor_targets)
     assert back.constants_scheme == out.constants_scheme
     assert back.alpha == out.alpha
+
+
+@pytest.mark.parametrize("path, value, needle", [
+    (("pairs", 0), [11, 2], r"meta\.pairs\[0\]"),
+    (("pairs", 1, 1), "two", r"meta\.pairs\[1\]"),
+    (("pairs", 2, 0), 29.5, r"meta\.pairs\[2\]"),
+    (("alpha", "alpha_v"), None, "'alpha_v'"),
+    (("clause_targets",), [1001, 2431], r"meta\.clause_targets"),
+], ids=["short-pair-row", "non-integer-pair-entry", "float-pair-entry",
+        "missing-alpha-v", "clause-targets-list"])
+def test_reduction_json_malformed_meta_is_input_error(path, value, needle):
+    doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
+    *parents, last = path
+    node = doc["meta"]
+    for key in parents:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    with pytest.raises(InputError, match=needle):
+        reduction_from_json(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
