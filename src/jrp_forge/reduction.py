@@ -20,10 +20,12 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 from typing import Callable, Mapping, Optional, Sequence
 
+from . import sync
 from .cost import decompose, total_cost
+from .eoq import standalone_cost
 from .model import (
     Commodity,
     CommodityKind,
@@ -358,6 +360,12 @@ def _meta_get(obj, key: str, where: str):
     return obj[key]
 
 
+# Pair rows of a reduction JSON must hold primes below this bound: there
+# is_prime is exact and takes microseconds, while a prime of a few thousand
+# digits takes it seconds.
+_MAX_PAIR_PRIME = 2 ** 64
+
+
 def _meta_int(value, where: str) -> int:
     """An integer, or the decimal text of one (object keys are text)."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -391,6 +399,13 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
         pair = PrimePair(index=i, low=low, gap=gap)
         if pair.high != high:
             raise InputError(f"{where}: {high} != {low} + {gap}")
+        if gap <= 0 or gap % 2:
+            raise InputError(f"{where}: gap {gap} must be positive and even")
+        for p in (low, high):
+            if p >= _MAX_PAIR_PRIME:
+                raise InputError(f"{where}: {p} is not below 2**64")
+            if not is_prime(p):
+                raise InputError(f"{where}: {p} is not prime")
         pairs.append(pair)
     pairs = tuple(pairs)
     alpha = ReductionConstants(**{
@@ -524,6 +539,61 @@ class RoundtripReport:
     scope: str
 
 
+class _AssignmentTables:
+    """Integer tables that price one reduction's assignment policies at
+    seed 1 without building a policy.
+
+    Every standalone term and K0 are put over one common denominator D, so
+    D times an assignment's standalone cost is the anchors' total plus its
+    variables' g at their chosen primes, a sum of plain integers, and the
+    cost is that sum over D plus K0*UJR. At seed 1 every period is an
+    integer, so the union runs over the anchor and clause targets and the
+    chosen primes with scale 1. A clause is synchronized
+    when a chosen prime divides its target; each clause keeps two bit masks
+    (variable i at bit n-1-i, as in the scan order) of the variables whose
+    high, and whose low, prime divides it.
+    """
+
+    def __init__(self, output: ReductionOutput, cap: int | None):
+        instance = output.instance
+        self.cap = cap
+        self.primes = tuple((p.low, p.high) for p in output.pairs)
+        self.fixed = tuple(output.anchor_targets.values())
+        anchors = sum((standalone_cost(instance.commodity(cid), Fraction(t))
+                       for cid, t in output.anchor_targets.items()), Fraction(0))
+        g = [tuple(standalone_cost(instance.commodity(output.variable_id(p.index)),
+                                   Fraction(q)) for q in (p.low, p.high))
+             for p in output.pairs]
+        k0 = instance.joint_setup
+        self.scale = lcm(anchors.denominator, k0.denominator,
+                         *(x.denominator for row in g for x in row))
+        self.anchors = anchors.numerator * (self.scale // anchors.denominator)
+        self.g = tuple(tuple(x.numerator * (self.scale // x.denominator) for x in row)
+                       for row in g)
+        self.k0 = k0.numerator * (self.scale // k0.denominator)
+        bits = [1 << i for i in reversed(range(len(self.primes)))]
+        self.clause_masks = tuple(
+            (sum(b for b, (_, high) in zip(bits, self.primes) if t % high == 0),
+             sum(b for b, (low, _) in zip(bits, self.primes) if t % low == 0))
+            for t in output.clause_targets.values())
+
+    def price(self, assignment: Sequence[bool]) -> tuple[Fraction, bool]:
+        """Exact total cost of the assignment's policy, and whether it
+        synchronizes every clause."""
+        periods = set(self.fixed)
+        periods.update(pair[v] for pair, v in zip(self.primes, assignment))
+        sync._require_ie_cap(len(periods), self.cap)
+        rate = sync._int_union_fraction(sync._dedup_prune(periods), 1)
+        standalone = self.anchors + sum(row[v] for row, v in zip(self.g, assignment))
+        cost = Fraction(standalone * rate.denominator + self.k0 * rate.numerator,
+                        self.scale * rate.denominator)
+        mask = 0
+        for v in assignment:
+            mask = 2 * mask + v
+        synced = all(mask & high or ~mask & low for high, low in self.clause_masks)
+        return cost, synced
+
+
 def verify_roundtrip(formula: CnfFormula,
                      constants: Optional[ReductionConstants] = None,
                      scheme: str = DEFAULT_SCHEME,
@@ -532,6 +602,12 @@ def verify_roundtrip(formula: CnfFormula,
 
     Scans all 2^n assignment policies at seed 1. The scan covers assignment
     policies only, not the continuous policy space; the report says so.
+    Per-formula integer tables price each assignment and test its clauses
+    from the assignment bits, with no policy built. The report's costs come
+    from at most two rows, the argmin and the cheapest row of the other
+    kind (synchronized or violating); those rows are priced again through
+    assignment_to_policy, total_cost and clause_synchronized, and a
+    disagreement with the tables raises RuntimeError.
     """
     if formula.n_vars > ROUNDTRIP_MAX_VARS:
         raise CapExceeded(
@@ -543,32 +619,42 @@ def verify_roundtrip(formula: CnfFormula,
             f"{ROUNDTRIP_MAX_CLAUSES}")
     output = reduce_formula(formula, constants, scheme)
     sat_assignment = brute_force_sat(formula)
+    tables = _AssignmentTables(output, cap)
 
-    def evaluate(assignment: tuple[bool, ...]):
+    # the cheapest row of each kind (synchronized or not), first on ties
+    best: dict[bool, tuple[Fraction, tuple[bool, ...]]] = {}
+    assignments = list(product((False, True), repeat=formula.n_vars))
+    for assignment in assignments:
+        cost, synced = tables.price(assignment)
+        if synced not in best or cost < best[synced][0]:
+            best[synced] = (cost, assignment)
+    kinds = sorted(best, key=best.__getitem__)      # the argmin's kind first
+
+    def reprice(assignment: tuple[bool, ...]):
         policy = assignment_to_policy(output, assignment)
         cost = total_cost(output.instance, policy, cap=cap).total
         synced = all(clause_synchronized(output, policy, j)
                      for j in output.clause_targets)
-        return assignment, cost, synced
+        return cost, synced
 
-    assignments = list(product((False, True), repeat=formula.n_vars))
-    rows = _map_assignments(evaluate, assignments)
+    repriced = _map_assignments(reprice, [best[kind][1] for kind in kinds])
+    for kind, row in zip(kinds, repriced):
+        if row != (best[kind][0], kind):
+            raise RuntimeError(
+                f"assignment tables priced {best[kind][1]} as "
+                f"{(best[kind][0], kind)}, total_cost as {row}")
 
-    best = min(rows, key=lambda row: (row[1], row[0]))
-    synced_costs = [cost for _, cost, synced in rows if synced]
-    violating_costs = [cost for _, cost, synced in rows if not synced]
-    gap = None
-    if synced_costs and violating_costs:
-        gap = min(violating_costs) - min(synced_costs)
+    argmin_cost, argmin = best[kinds[0]]
+    gap = best[False][0] - best[True][0] if len(best) == 2 else None
     return RoundtripReport(
         satisfiable=sat_assignment is not None,
         sat_assignment=sat_assignment,
-        argmin_assignment=best[0],
-        argmin_cost=best[1],
-        argmin_synchronizes_all=best[2],
-        verdict_consistent=best[2] == (sat_assignment is not None),
+        argmin_assignment=argmin,
+        argmin_cost=argmin_cost,
+        argmin_synchronizes_all=kinds[0],
+        verdict_consistent=kinds[0] == (sat_assignment is not None),
         gap=gap,
-        n_assignments=len(rows),
+        n_assignments=len(assignments),
         scope="assignment policies at seed 1 only; the continuous policy "
               "space is out of scope",
     )

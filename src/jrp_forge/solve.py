@@ -346,6 +346,9 @@ def _pot_exponent(t_sq: Fraction, base_sq: Fraction) -> int:
 
 
 _GRID_BITS = 24     # power_of_two's base grid steps are multiples of 2^-24
+# _grid_step raises a 26-bit integer to the grid-th power for every step, so
+# the base table costs more than linearly in the grid
+MAX_GRID = 1024
 
 
 def _grid_step(j: int, grid: int) -> int:
@@ -409,7 +412,8 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     cluster of most frequent commodities — and every distinct pattern is
     reduced to an integer multiplier profile whose common seed is then
     optimized exactly, so the returned policy is the best seed-scaled
-    power-of-two pattern seen.
+    power-of-two pattern seen. `grid` must lie in 1..MAX_GRID; outside it
+    InputError is raised.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -431,6 +435,8 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
 
     if grid < 1:
         raise InputError(f"grid must be >= 1, got {grid}")
+    if grid > MAX_GRID:
+        raise InputError(f"grid must be <= {MAX_GRID}, got {grid}")
     targets = _cluster_target_squares(instance)
     standalone_sqs = [c.setup / w for c, w in zip(instance.commodities, weights)]
     target_sqs = [targets[cid] for cid in instance.ids()]

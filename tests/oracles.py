@@ -4,8 +4,8 @@ Everything here is deliberately implemented differently from the package:
 set-based epoch counting instead of inclusion-exclusion, float golden-section
 search instead of the closed form, reversed-order clause evaluation, and
 sympy's primality test. None of it imports package internals beyond types,
-except reference_descent, which prices every trial through the public
-total_cost.
+except reference_descent and reference_roundtrip, which price every trial
+through the public total_cost.
 """
 from __future__ import annotations
 
@@ -204,3 +204,54 @@ def reference_descent(instance, start, candidate_fn, max_rounds: int = 100,
         if not improved:
             break
     return policy, current, nodes
+
+
+def reference_roundtrip(formula, constants=None, scheme=None,
+                        cap: int | None = None):
+    """verify_roundtrip as one full pricing per assignment.
+
+    The straightforward scan: every assignment policy at seed 1 is built,
+    priced by total_cost and tested by clause_synchronized on every clause;
+    the argmin is the least (cost, assignment) and the gap the cheapest
+    violating cost minus the cheapest synchronized one. Returns the same
+    RoundtripReport.
+    """
+    from itertools import product
+
+    from jrp_forge.cost import total_cost
+    from jrp_forge.reduction import (
+        DEFAULT_SCHEME,
+        RoundtripReport,
+        assignment_to_policy,
+        clause_synchronized,
+        reduce_formula,
+    )
+    from jrp_forge.sat import brute_force_sat
+
+    output = reduce_formula(formula, constants, scheme or DEFAULT_SCHEME)
+    sat_assignment = brute_force_sat(formula)
+    rows = []
+    for assignment in product((False, True), repeat=formula.n_vars):
+        policy = assignment_to_policy(output, assignment)
+        cost = total_cost(output.instance, policy, cap=cap).total
+        synced = all(clause_synchronized(output, policy, j)
+                     for j in output.clause_targets)
+        rows.append((assignment, cost, synced))
+    best = min(rows, key=lambda row: (row[1], row[0]))
+    synced_costs = [cost for _, cost, synced in rows if synced]
+    violating_costs = [cost for _, cost, synced in rows if not synced]
+    gap = None
+    if synced_costs and violating_costs:
+        gap = min(violating_costs) - min(synced_costs)
+    return RoundtripReport(
+        satisfiable=sat_assignment is not None,
+        sat_assignment=sat_assignment,
+        argmin_assignment=best[0],
+        argmin_cost=best[1],
+        argmin_synchronizes_all=best[2],
+        verdict_consistent=best[2] == (sat_assignment is not None),
+        gap=gap,
+        n_assignments=len(rows),
+        scope="assignment policies at seed 1 only; the continuous policy "
+              "space is out of scope",
+    )

@@ -148,6 +148,17 @@ def test_solve_pot(capsys, single_files):
     assert doc["policy"]["a"]["exact"] == "4/1"
 
 
+def test_solve_pot_grid_above_max_exits_2(capsys, single_files):
+    ipath, _ = single_files
+    rc, out, err = run(capsys, "solve", ipath, "--method", "pot",
+                       "--optimize-base", "--grid", "1025")
+    assert rc == 2 and out == ""
+    assert "grid must be <= 1024, got 1025" in err
+    rc, out, _ = run(capsys, "solve", ipath, "--method", "pot",
+                     "--optimize-base", "--grid", "1024")
+    assert rc == 0 and json.loads(out)["method"] == "pot(opt-base)"
+
+
 def test_solve_descent_and_seed(capsys, single_files):
     ipath, _ = single_files
     rc, out, _ = run(capsys, "solve", ipath, "--method", "descent")

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jrp_forge import reduction
 from jrp_forge.cost import decompose, total_cost
 from jrp_forge.eoq import theta_pair
 from jrp_forge.model import CommodityKind, InputError
@@ -18,6 +20,7 @@ from jrp_forge.reduction import (
     ConfigRejected,
     PrimePair,
     ReductionConstants,
+    _AssignmentTables,
     assignment_to_policy,
     build_clause_commodity,
     build_constant_commodity,
@@ -36,6 +39,8 @@ from jrp_forge.reduction import (
     verify_roundtrip,
 )
 from jrp_forge.sat import CapExceeded, CnfFormula, brute_force_sat, evaluate
+
+from .oracles import reference_roundtrip
 
 F = Fraction
 
@@ -308,6 +313,29 @@ def test_reduction_json_malformed_meta_is_input_error(path, value, needle):
         reduction_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("row, needle", [
+    ([12, -2, 10], "gap -2"),
+    ([9, 2, 11], "9 is not prime"),
+    ([23, 2, 25], "25 is not prime"),
+    ([7, -2, 5], "gap -2"),
+    ([11, 0, 11], "gap 0"),
+    ([2, 1, 3], "gap 1"),
+    ([2**64 + 13, 2, 2**64 + 15], "not below 2\\*\\*64"),
+], ids=["composite-low-negative-gap", "composite-low", "composite-high",
+        "negative-gap", "zero-gap", "odd-gap", "past-the-bound"])
+def test_reduction_json_pair_rows_must_be_prime_pairs(row, needle):
+    doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
+    doc["meta"]["pairs"][1] = row
+    with pytest.raises(InputError, match=r"meta\.pairs\[1\]: .*" + needle):
+        reduction_from_json(json.dumps(doc))
+
+
+def test_reduction_json_accepts_a_wider_prime_pair():
+    doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
+    doc["meta"]["pairs"][0] = [13, 4, 17]
+    assert reduction_from_json(json.dumps(doc)).literal_map[1] == (13, 17)
+
+
 # ---------------------------------------------------------------------------
 # assignment <-> policy
 
@@ -444,6 +472,137 @@ def test_roundtrip_argmin_cost_matches_direct_evaluation():
     pol = assignment_to_policy(out, rep.argmin_assignment)
     assert total_cost(out.instance, pol).total == rep.argmin_cost
     assert "assignment policies" in rep.scope
+
+
+def _random_3cnf(rng, n, m):
+    return tuple(
+        tuple(v if rng.random() < 0.5 else -v
+              for v in sorted(rng.sample(range(1, n + 1), 3)))
+        for _ in range(m))
+
+
+def _roundtrip_corpus():
+    """Seeded random formulas with 1..6 variables and 3n+m <= 20, plus
+    unsatisfiable and repeated-clause formulas."""
+    rng = random.Random(20261018)
+    formulas = []
+    for n in range(1, 7):
+        for _ in range(4):
+            m = rng.randint(0, 20 - 3 * n) if n >= 3 else 0
+            formulas.append(CnfFormula(n, _random_3cnf(rng, n, m)))
+    formulas += [
+        CnfFormula(3, CORPUS["unsat8"]),
+        CnfFormula(4, CORPUS["unsat8"]),
+        CnfFormula(4, tuple((s1 * 2, s2 * 3, s3 * 4)
+                            for s1, s2, s3 in product((1, -1), repeat=3))),
+        CnfFormula(4, ((1, 2, 3), (1, 2, 3), (-1, -2, 4), (-1, -2, 4))),
+        CnfFormula(5, ((-1, 2, 5),) * 5),
+    ]
+    return formulas
+
+
+ROUNDTRIP_CORPUS = _roundtrip_corpus()
+
+
+def test_roundtrip_corpus_covers_its_cases():
+    assert {f.n_vars for f in ROUNDTRIP_CORPUS} == set(range(1, 7))
+    assert all(3 * f.n_vars + len(f.clauses) <= 20 for f in ROUNDTRIP_CORPUS)
+    assert sum(brute_force_sat(f) is None for f in ROUNDTRIP_CORPUS) >= 3
+    assert sum(len(set(f.clauses)) < len(f.clauses) for f in ROUNDTRIP_CORPUS) >= 2
+
+
+@pytest.mark.parametrize("formula", ROUNDTRIP_CORPUS,
+                         ids=[f"f{i}" for i in range(len(ROUNDTRIP_CORPUS))])
+def test_roundtrip_matches_reference_scan(formula):
+    assert verify_roundtrip(formula) == reference_roundtrip(formula)
+
+
+@pytest.mark.parametrize("n, clauses", [
+    (1, ()),
+    (2, ()),
+    (3, CORPUS["mixed4"]),
+    (3, CORPUS["unsat8"]),
+    (4, ((1, 2, 3), (-2, -3, -4), (1, -3, 4), (-1, 2, -4))),
+    (5, ((1, 2, 3), (3, 4, 5), (-1, -4, 5))),
+])
+def test_roundtrip_adjacent_products_matches_reference_scan(n, clauses):
+    # the unit anchor saturates the union (every epoch orders) and the ring
+    # products can divide clause targets
+    formula = CnfFormula(n, clauses)
+    scheme = "adjacent-products"
+    assert 1 in reduce_formula(formula, scheme=scheme).anchor_targets.values()
+    assert verify_roundtrip(formula, scheme=scheme) \
+        == reference_roundtrip(formula, scheme=scheme)
+
+
+@pytest.mark.parametrize("n, constants", [
+    (3, ReductionConstants(alpha_v_bar=F(18, 25))),
+    (4, ReductionConstants(alpha_v_bar=F(281, 400), alpha_v=F(1, 5))),
+    (3, ReductionConstants(alpha_c=F(3, 2), alpha_v_bar=F(1, 2))),
+])
+def test_roundtrip_custom_constants_match_reference_scan(n, constants):
+    for m in (1, 4, 20 - 3 * n):
+        formula = CnfFormula(n, _random_3cnf(random.Random(m), n, m))
+        assert verify_roundtrip(formula, constants) \
+            == reference_roundtrip(formula, constants)
+
+
+def test_roundtrip_cap_refuses_like_reference_scan(monkeypatch):
+    formula = CnfFormula(4, ((1, 2, 3), (-1, 2, 4), (1, -3, -4)))
+    out = reduce_formula(formula)
+    distinct = len(set(out.anchor_targets.values())) + formula.n_vars
+    assert distinct == 3 * 4 + 3
+    assert verify_roundtrip(formula, cap=distinct) \
+        == reference_roundtrip(formula, cap=distinct)
+    with pytest.raises(CapExceeded) as ours:
+        verify_roundtrip(formula, cap=distinct - 1)
+    with pytest.raises(CapExceeded) as reference:
+        reference_roundtrip(formula, cap=distinct - 1)
+    assert type(ours.value) is type(reference.value)
+    assert str(ours.value) == str(reference.value)
+    # the tables refuse on their own count, before any row is re-priced
+    def no_repricing(*_args, **_kwargs):
+        raise AssertionError("re-priced a row the tables should have refused")
+
+    monkeypatch.setattr(reduction, "total_cost", no_repricing)
+    with pytest.raises(CapExceeded, match=str(distinct)):
+        verify_roundtrip(formula, cap=distinct - 1)
+
+
+@pytest.mark.parametrize("n, clauses, scheme", [
+    (3, CORPUS["mixed4"], DEFAULT_SCHEME),
+    (3, CORPUS["unsat8"], DEFAULT_SCHEME),
+    (4, ((1, 2, 3), (1, 2, 3), (-2, -3, -4), (1, -3, 4)), DEFAULT_SCHEME),
+    (5, ((1, 2, 3), (-3, 4, 5)), DEFAULT_SCHEME),
+    (3, CORPUS["mixed3"], "adjacent-products"),
+])
+def test_assignment_tables_price_every_assignment(n, clauses, scheme):
+    formula = CnfFormula(n, clauses)
+    out = reduce_formula(formula, scheme=scheme)
+    tables = _AssignmentTables(out, None)
+    # one table per clause tests each clause's masks on their own
+    singles = [_AssignmentTables(reduce_formula(CnfFormula(n, (c,)), scheme=scheme),
+                                 None) for c in clauses]
+    for assignment in product((False, True), repeat=n):
+        policy = assignment_to_policy(out, assignment)
+        cost, synced = tables.price(assignment)
+        assert cost == total_cost(out.instance, policy).total
+        per_clause = [clause_synchronized(out, policy, j) for j in out.clause_targets]
+        assert synced == all(per_clause)
+        assert [t.price(assignment)[1] for t in singles] == per_clause
+
+
+def test_roundtrip_reprices_its_reported_rows(monkeypatch):
+    formula = CnfFormula(3, CORPUS["mixed4"])
+    price = _AssignmentTables.price
+
+    def off_by_a_sliver(self, assignment):
+        cost, synced = price(self, assignment)
+        return cost + F(1, 10**30), synced
+
+    monkeypatch.setattr(_AssignmentTables, "price", off_by_a_sliver)
+    with pytest.raises(RuntimeError, match="total_cost"):
+        verify_roundtrip(formula)
 
 
 def test_roundtrip_threads_env(monkeypatch):

@@ -13,6 +13,7 @@ from jrp_forge.cost import total_cost
 from jrp_forge.eoq import optimal_cycle, sqrt_fraction, standalone_cost
 from jrp_forge.model import Commodity, InputError, Instance, Policy, SeedProfile
 from jrp_forge.solve import (
+    MAX_GRID,
     _grid_step,
     _pot_exponent,
     coordinate_descent,
@@ -401,6 +402,15 @@ def test_grid_steps_are_exact_roots():
     for grid in range(1, 257):
         assert [_grid_step(j, grid) for j in range(grid)] \
             == [round(2 ** (j / grid) * 2 ** 24) for j in range(grid)], grid
+
+
+def test_power_of_two_grid_range():
+    assert power_of_two(single(), optimize_base=True,
+                        grid=MAX_GRID).method == "pot(opt-base)"
+    # refused before any grid step is computed (grid 4096 would take seconds)
+    for grid in (0, MAX_GRID + 1, 4096):
+        with pytest.raises(InputError, match="grid must be"):
+            power_of_two(single(), optimize_base=True, grid=grid)
 
 
 def test_power_of_two_fixed_base_example():
