@@ -1,18 +1,17 @@
-"""Time the union-count kernels: the dispatcher beside both IE lanes.
+"""Time the union-count kernel: inclusion-exclusion beside the dispatcher.
 
-Per workload and lane (pure, and compiled when the extension is built) it
-prints microseconds per count of two routes to the same number:
+Per workload it prints microseconds per count of two routes to the same
+number:
 
-- IE: the lane's inclusion-exclusion alone (`_kernels._ie`; the compiled
-  lane counts a hyperperiod over 2**63-1 in Python, as the dispatcher does);
+- IE: inclusion-exclusion alone (`_kernels._ie`);
 - dispatch: `_kernels.union_count`, which splits a set of more than
   `_IE_LEAF` periods on a coprime base and counts the small leaves by IE.
 
 The workloads mirror real usage: the pruned period sets of 3SAT reductions
 (one per assignment) and random composite sets. Then a table by candidate
-`_IE_LEAF` value times the dispatcher on the reduction workload in each lane,
-and a table by set size compares IE with one split (`_kernels._split_count`)
-whose leaves use each lane. Together they set `_IE_LEAF`.
+`_IE_LEAF` value times the dispatcher on the reduction workload, and a table
+by set size compares IE with one split (`_kernels._split_count`). Together
+they set `_IE_LEAF`.
 
 Usage: python bench/compare_kernels.py [--rounds 5] [--rng-seed 0]
 Each cell is the median over `--rounds` of the mean time per call, where a
@@ -29,13 +28,7 @@ import time
 from math import lcm
 
 from jrp_forge import _kernels
-from jrp_forge._kernels import pure
 from jrp_forge.reduction import clause_target, select_prime_pairs
-
-try:
-    from jrp_forge._kernels import fast
-except ImportError:
-    fast = None
 
 ROUND_S = 0.05
 LEAF_SIZES = range(4, 13)
@@ -92,6 +85,13 @@ def random_workload(rng: random.Random, count: int) -> list[tuple[list[int], int
     return cases
 
 
+def workloads(rng: random.Random) -> list[tuple[str, list[tuple[list[int], int]]]]:
+    return [
+        ("reduction(n=3..6)", reduction_workload(rng)),
+        ("random-composite", random_workload(rng, 32)),
+    ]
+
+
 def time_per_call(count, cases, rounds: int) -> float:
     """Median over rounds of the mean seconds per call of count(periods, hyper)."""
     means = []
@@ -110,24 +110,22 @@ def time_per_call(count, cases, rounds: int) -> float:
 
 
 @contextlib.contextmanager
-def patched(name, value):
-    """Set one `_kernels` global for the block: `_fast` to the compiled
-    module or None (pure lane), or `_IE_LEAF`."""
-    saved = getattr(_kernels, name)
-    setattr(_kernels, name, value)
+def ie_leaf(value: int):
+    """Set `_kernels._IE_LEAF` for the block."""
+    saved = _kernels._IE_LEAF
+    _kernels._IE_LEAF = value
     try:
         yield
     finally:
-        setattr(_kernels, name, saved)
+        _kernels._IE_LEAF = saved
 
 
 def check(cases) -> None:
+    """Every route counts each case as inclusion-exclusion does."""
     for periods, hyper in cases:
-        expected = pure.union_count(periods, hyper)
+        expected = _kernels._ie(periods, hyper)
         assert _kernels.union_count(periods, hyper) == expected, (periods, hyper)
         assert _kernels._split_count(periods, hyper) == expected, (periods, hyper)
-        if fast is not None and hyper <= _kernels._I64_MAX:
-            assert fast.union_count(periods, hyper) == expected, (periods, hyper)
 
 
 def main() -> None:
@@ -136,50 +134,31 @@ def main() -> None:
     ap.add_argument("--rng-seed", type=int, default=0)
     args = ap.parse_args()
 
-    rng = random.Random(args.rng_seed)
-    reduction = reduction_workload(rng)
-    workloads = [
-        ("reduction(n=3..6)", reduction),
-        ("random-composite", random_workload(rng, 32)),
-    ]
-    lanes = [("pure", None)] + ([("fast", fast)] if fast is not None else [])
-    print(f"compiled lane: {'built' if fast else 'not built'}; "
-          f"_IE_LEAF = {_kernels._IE_LEAF}")
-    print("us/call; the fast lane counts a hyperperiod over 2**63-1 in Python")
-    for name, cases in workloads:
+    named = workloads(random.Random(args.rng_seed))
+    reduction = named[0][1]
+    print(f"_IE_LEAF = {_kernels._IE_LEAF}; us/call")
+    for name, cases in named:
         check(cases)
-        line = f"{name:18s}"
-        for lane, module in lanes:
-            with patched("_fast", module):
-                t_ie = time_per_call(_kernels._ie, cases, args.rounds)
-                t_dispatch = time_per_call(_kernels.union_count, cases, args.rounds)
-            line += f"   {lane}: IE {t_ie * 1e6:9.2f}  dispatch {t_dispatch * 1e6:9.2f}"
-        print(line)
+        t_ie = time_per_call(_kernels._ie, cases, args.rounds)
+        t_dispatch = time_per_call(_kernels.union_count, cases, args.rounds)
+        print(f"{name:18s}   IE {t_ie * 1e6:9.2f}  dispatch {t_dispatch * 1e6:9.2f}")
 
     print("\ndispatch on reduction(n=3..6) by _IE_LEAF, us/call")
-    print("leaf" + "".join(f"  {lane:>8s}" for lane, _ in lanes))
     for leaf in LEAF_SIZES:
-        line = f"{leaf:4d}"
-        for _, module in lanes:
-            with patched("_fast", module), patched("_IE_LEAF", leaf):
-                line += f"  {time_per_call(_kernels.union_count, reduction, args.rounds) * 1e6:8.1f}"
-        print(line)
+        with ie_leaf(leaf):
+            t = time_per_call(_kernels.union_count, reduction, args.rounds)
+        print(f"{leaf:4d}  {t * 1e6:8.1f}")
 
     print("\nus/call of IE and of one split with IE leaves, by set size")
-    print("size  sets" + "".join(f"  {lane + '-IE':>10s}  {lane + '-split':>10s}"
-                                 for lane, _ in lanes))
+    print("size  sets          IE       split")
     by_size = {k: [c for c in reduction if len(c[0]) == k] for k in CROSSOVER_SIZES}
     for k, cases in by_size.items():
         if not cases:
             continue
         cases = cases[:24]
-        line = f"{k:4d}  {len(cases):4d}"
-        for _, module in lanes:
-            with patched("_fast", module):
-                t_ie = time_per_call(_kernels._ie, cases, args.rounds)
-                t_split = time_per_call(_kernels._split_count, cases, args.rounds)
-            line += f"  {t_ie * 1e6:10.1f}  {t_split * 1e6:10.1f}"
-        print(line)
+        t_ie = time_per_call(_kernels._ie, cases, args.rounds)
+        t_split = time_per_call(_kernels._split_count, cases, args.rounds)
+        print(f"{k:4d}  {len(cases):4d}  {t_ie * 1e6:10.1f}  {t_split * 1e6:10.1f}")
 
 
 if __name__ == "__main__":

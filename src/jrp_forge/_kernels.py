@@ -1,12 +1,8 @@
-"""Integer counting kernels with a compiled fast path.
+"""Integer counting kernel, exact for arbitrary-precision integers.
 
 `union_count` counts the epochs in (0, hyper] that are a multiple of at
-least one period. A set of at most `_IE_LEAF` periods goes to a lane's
-inclusion-exclusion (IE), which sums 2^k signed terms: the compiled
-extension when every epoch fits in a signed 64-bit integer, the pure-Python
-implementation for arbitrary-precision inputs (hyperperiods >= 2**63, as
-produced by the instance generator's prime products under large seeds) and
-for every input when the extension is not built.
+least one period. A set of at most `_IE_LEAF` periods is counted by
+inclusion-exclusion (IE), which sums 2^k signed terms.
 
 A larger set is split exactly instead. Its periods are refined by gcds into
 a pairwise-coprime base, which needs no factoring. The count of residues
@@ -15,35 +11,50 @@ that divides the most periods: a residue whose b-part is exactly b^e (of
 b^top in the lcm) is covered exactly when the rest of it is covered by the
 periods with at most e factors of b, with b divided out, by the Chinese
 remainder theorem; b need not be prime. A pairwise-coprime set is counted
-as the product of (p - 1), a set of at most `_IE_LEAF` periods by IE in the
-lane its own lcm selects, and each distinct set once per call.
+as the product of (p - 1), a set of at most `_IE_LEAF` periods by IE, and
+each distinct set once per call.
 """
 from __future__ import annotations
 
 from math import gcd, lcm, prod
 
-from . import pure
-
-try:
-    from . import fast as _fast
-except ImportError:
-    _fast = None
-
-_I64_MAX = 2**63 - 1
 # Largest set counted by inclusion-exclusion rather than split: the crossover
 # measured in BENCH_2026-10-18_kernel-split.json.
 _IE_LEAF = 7
 
 
 def backend() -> str:
-    """Name of the lane used for 64-bit-safe inputs."""
-    return "fast" if _fast is not None else "pure"
+    """Name of the counting lane, always "pure" (Python integers).
+
+    Kept because the benchmark harness writes it into every report's
+    metadata.
+    """
+    return "pure"
+
+
+def _branch(ps, hyper, idx, lcm_val, sign):
+    """Signed inclusion-exclusion terms of every subset extending one prefix.
+
+    A module-level function rather than a closure over itself, so a call
+    leaves no reference cycle behind for the collector.
+    """
+    if lcm_val == hyper and idx != len(ps) - 1:
+        return 0
+    total = sign * (hyper // lcm_val)
+    for j in range(idx + 1, len(ps)):
+        g = gcd(lcm_val, ps[j])
+        total += _branch(ps, hyper, j, lcm_val // g * ps[j], -sign)
+    return total
 
 
 def _ie(ps, hyper):
-    if _fast is not None and hyper <= _I64_MAX:
-        return _fast.union_count(ps, hyper)
-    return pure.union_count(ps, hyper)
+    """Inclusion-exclusion count of the union of multiples in (0, hyper].
+
+    Subset sum with a saturation prune: once a partial lcm reaches the
+    hyperperiod, the branch's remaining terms telescope to zero unless the
+    subset cannot be extended further.
+    """
+    return sum(_branch(ps, hyper, j, ps[j], 1) for j in range(len(ps)))
 
 
 def union_count(periods, hyper):
@@ -113,7 +124,7 @@ def _uncovered(ps, hyper, base, memo):
         if prod(ps) == hyper:       # pairwise coprime, empty included
             got = prod(p - 1 for p in ps)
         elif len(ps) <= _IE_LEAF:
-            got = hyper - _ie(list(ps), hyper)
+            got = hyper - _ie(ps, hyper)
         else:
             got = _split(ps, hyper, base, memo)
         memo[ps] = got
@@ -159,6 +170,7 @@ def _split(ps, hyper, base, memo):
 
 def epoch_count(periods, hyper):
     """|union| by explicit enumeration of the multiples (oracle lane)."""
-    if _fast is not None and hyper <= _I64_MAX:
-        return _fast.epoch_count(list(periods), hyper)
-    return pure.epoch_count(list(periods), hyper)
+    pts: set = set()
+    for p in periods:
+        pts.update(range(p, hyper + 1, p))
+    return len(pts)

@@ -207,7 +207,7 @@ def _commodity_from_obj(obj: object, idx: int) -> Commodity:
     if not isinstance(cid, str):
         raise InputError(f"{where}: 'id' must be a string")
     kind_tag = obj.get("class", "generic")
-    if kind_tag not in _KINDS:
+    if not isinstance(kind_tag, str) or kind_tag not in _KINDS:
         raise InputError(f"{where}: unknown class tag {kind_tag!r}")
     missing = [key for key in ("lambda", "h", "k") if key not in obj]
     if missing:

@@ -95,10 +95,21 @@ def default_alpha_v_bar(n: int) -> Fraction:
 # primes
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to every base in _MR_BASES,
+# 399165290221 * 798330580441: below it the test is a proof.
+_MR_PROVEN_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any desk-scale input."""
+    """Deterministic Miller-Rabin with the bases 2..37.
+
+    Exact for every n < 318665857834031151167461 (`_MR_PROVEN_BOUND`), the
+    least number that passes all twelve bases and is composite. Raises
+    InputError for n at or above that bound rather than guess.
+    """
+    if n >= _MR_PROVEN_BOUND:
+        raise InputError(
+            f"is_prime is exact only below {_MR_PROVEN_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:

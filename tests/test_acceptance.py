@@ -5,6 +5,7 @@ when either is missed. Randomness is seeded, so every run sees the same data.
 """
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -14,13 +15,24 @@ from math import isqrt
 from jrp_forge.cli import _random_instance
 from jrp_forge.cost import total_cost
 from jrp_forge.eoq import optimal_cycle, theta_pair
-from jrp_forge.model import Commodity, InputError, Instance, Policy
+from jrp_forge.model import (
+    Commodity,
+    InputError,
+    Instance,
+    Policy,
+    load_instance,
+    load_policy,
+    save_instance,
+    save_policy,
+)
 from jrp_forge.reduction import (
     ReductionConstants,
     build_clause_commodity,
     build_constant_commodity,
     check_gap_inequality,
     reduce_formula,
+    reduction_from_json,
+    reduction_to_json,
     select_prime_pairs,
     verify_roundtrip,
 )
@@ -302,18 +314,19 @@ _VALID_CNFS = (
 _MUTATION_CHARS = "pc 0123456789-\n\t\r\x00\xff%xyz!@"
 
 
-def _mutate(rng: random.Random, text: str) -> str:
+def _mutate(rng: random.Random, text: str, chars: str = _MUTATION_CHARS,
+            corpus: tuple[str, ...] = _VALID_CNFS) -> str:
     op = rng.randrange(7)
     if not text:
-        return rng.choice(_MUTATION_CHARS)
+        return rng.choice(chars)
     pos = rng.randrange(len(text))
     if op == 0:    # insert a byte
-        return text[:pos] + rng.choice(_MUTATION_CHARS) + text[pos:]
+        return text[:pos] + rng.choice(chars) + text[pos:]
     if op == 1:    # delete a slice
         end = min(len(text), pos + rng.randint(1, 8))
         return text[:pos] + text[end:]
     if op == 2:    # replace a byte
-        return text[:pos] + rng.choice(_MUTATION_CHARS) + text[pos + 1:]
+        return text[:pos] + rng.choice(chars) + text[pos + 1:]
     if op == 3:    # duplicate a slice
         end = min(len(text), pos + rng.randint(1, 12))
         return text[:pos] + text[pos:end] + text[pos:]
@@ -324,7 +337,7 @@ def _mutate(rng: random.Random, text: str) -> str:
         rng.shuffle(lines)
         return "".join(lines)
     # splice two corpus files together
-    other = rng.choice(_VALID_CNFS)
+    other = rng.choice(corpus)
     return text[:pos] + other[rng.randrange(len(other)):]
 
 
@@ -364,3 +377,82 @@ def test_criterion_9_parser_robustness():
     assert parsed_ok > 0  # some mutants stay valid; the parser accepts them
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 9 took {elapsed:.2f}s (budget 60s)"
+
+
+_JSON_CHARS = '{}[]",:.-+/0123456789eE \n\x00\xff\\tnul'
+# decoded values swapped in for one node of a valid document: wrong types,
+# out-of-range numbers, rationals that divide by zero, numerals too long to
+# parse cheaply, and nesting
+_HOSTILE_JSON = (None, True, 0, -1, 2.5, 2**70, "", "0", "-3/4", "1/0",
+                 "1e999999", "x1", "9" * 5000, [], {}, [[[[]]]], {"k0": "1"},
+                 [11, 2, 13], "318665857834031151167461")
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _json_paths(child, path + (i,))
+
+
+def _mutate_json_value(rng: random.Random, text: str) -> str:
+    """Replace one node of a decoded document, or drop one object key."""
+    doc = json.loads(text)
+    path = rng.choice(list(_json_paths(doc)))
+    value = rng.choice(_HOSTILE_JSON)
+    if not path:
+        return json.dumps(value)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rng.random() < 0.25:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+def test_json_loader_robustness():
+    # mutated instance, policy and reduction JSON: each loader either loads
+    # a mutant or raises InputError with a message, within 2 s a mutant.
+    # Budget: 60 s.
+    rng = random.Random(910)
+    instances = tuple(save_instance(_random_instance(rng, n)).decode()
+                      for n in (1, 3, 5))
+    policies = tuple(save_policy(Policy({f"c{i}": Fraction(i, 3)
+                                         for i in range(1, n + 1)})).decode()
+                     for n in (1, 4))
+    reductions = tuple(
+        reduction_to_json(reduce_formula(formula)).decode()
+        for formula in (CnfFormula(3, ((1, -2, 3), (-1, 2, -3))),
+                        CnfFormula(4, ((1, 2, -4),))))
+    loaders = (("instance", load_instance, instances + reductions),
+               ("policy", load_policy, policies),
+               ("reduction", reduction_from_json, reductions))
+    start = time.perf_counter()
+    for name, load, corpus in loaders:
+        for text in corpus:
+            load(text)
+        loaded = 0
+        slowest = 0.0
+        for _ in range(3000):
+            text = rng.choice(corpus)
+            for _ in range(rng.randint(1, 3)):
+                text = _mutate_json_value(rng, text)
+            if rng.random() < 0.5:
+                text = _mutate(rng, text, _JSON_CHARS, corpus)
+            t0 = time.perf_counter()
+            try:
+                load(text)
+            except InputError as exc:
+                assert str(exc), (name, text)
+            else:
+                loaded += 1
+            slowest = max(slowest, time.perf_counter() - t0)
+        assert loaded > 0, name   # some mutants stay valid and load
+        assert slowest < 2.0, f"{name}: a mutant took {slowest:.2f}s"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60.0, f"JSON fuzzing took {elapsed:.2f}s (budget 60s)"

@@ -1,31 +1,19 @@
 import gc
+import importlib.util
 import itertools
-import json
 import math
-import os
 import random
-import re
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
 from functools import reduce
 from pathlib import Path
 
-import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrp_forge import _kernels
-from jrp_forge._kernels import pure
 from jrp_forge.reduction import clause_target, select_prime_pairs
 
-_REPO = Path(__file__).resolve().parent.parent
-_SETUP_PY = _REPO / "setup.py"
-_FAST_C = _REPO / "src" / "jrp_forge" / "_kernels" / "fast.c"
-_FAST_PYX = _FAST_C.with_suffix(".pyx")
+_COMPARE_KERNELS = Path(__file__).resolve().parent.parent / "bench" / "compare_kernels.py"
 
 
 def _lcm_all(values):
@@ -140,7 +128,7 @@ def _above_leaf(cases):
 
 
 def test_backend_reports_lane():
-    assert _kernels.backend() in ("fast", "pure")
+    assert _kernels.backend() == "pure"
 
 
 def test_union_count_hand_values():
@@ -152,12 +140,10 @@ def test_union_count_hand_values():
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1,
                 max_size=6))
-def test_fast_pure_and_enumeration_agree(raw):
+def test_union_count_and_enumeration_agree(raw):
     periods = _normalize(raw)
     hyper = _lcm_all(periods)
     expected = _set_oracle(periods, hyper)
-    assert pure.union_count(periods, hyper) == expected
-    assert pure.epoch_count(periods, hyper) == expected
     assert _kernels.union_count(periods, hyper) == expected
     assert _kernels.epoch_count(periods, hyper) == expected
 
@@ -169,7 +155,6 @@ def test_big_integer_inputs_use_pure_fallback():
     assert hyper > 2**63
     count = _kernels.union_count([p1, p2], hyper)
     assert count == p2 + p1 - 1  # hyper/p1 + hyper/p2 - hyper/lcm
-    assert pure.union_count([p1, p2], hyper) == count
 
 
 def test_large_prime_products_from_generated_instances():
@@ -184,99 +169,9 @@ def test_large_prime_products_from_generated_instances():
     assert got == expect
 
 
-def _c_compiler_on_path():
-    # the compiler setuptools would invoke: $CC, else the interpreter's own
-    cc = shlex.split(os.environ.get("CC")
-                     or sysconfig.get_config_var("CC") or "")
-    return bool(cc) and shutil.which(cc[0]) is not None
-
-
-@pytest.mark.skipif(not (_SETUP_PY.is_file() and _FAST_C.is_file()),
-                    reason="setup.py or the committed fast.c is not present")
-@pytest.mark.skipif(not _c_compiler_on_path(),
-                    reason="no C compiler on PATH")
-@pytest.mark.skipif(
-    not (Path(sysconfig.get_paths()["include"]) / "Python.h").is_file(),
-    reason="Python.h is not installed")
-def test_compiled_lane_is_active_here(tmp_path):
-    # where a C toolchain is present, the build compiles the extension, the
-    # package selects the fast lane, and the compiled kernels count exactly
-    pytest.importorskip("setuptools")
-    for name in ("setup.py", "pyproject.toml", "README.md"):
-        shutil.copy2(_REPO / name, tmp_path / name)
-    shutil.copytree(_REPO / "src" / "jrp_forge", tmp_path / "src" / "jrp_forge",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=tmp_path, capture_output=True, text=True,
-    )
-    assert build.returncode == 0, build.stdout + build.stderr
-
-    ie_cases = [(ps, _lcm_all(ps)) for ps in _reduction_n3_periods()]
-    enum_cases = [(ps, _lcm_all(ps)) for ps in _random_normalized_periods()]
-    # the split with compiled leaves, or pure ones past int64
-    rng = random.Random(11)
-    split_cases = [(ps, _lcm_all(ps)) for ps in
-                   _above_leaf(_reduction_shaped_cases())[::4]
-                   + [_antichain_of_divisors(rng, size)
-                      for size in range(_kernels._IE_LEAF + 1, 15)]]
-    code = (
-        "import json, sys, jrp_forge\n"
-        "from jrp_forge._kernels import backend, fast, union_count\n"
-        "ie_cases, enum_cases, split_cases = json.load(sys.stdin)\n"
-        "print(json.dumps({'origin': jrp_forge.__file__, 'lane': backend(),\n"
-        "    'ie': [fast.union_count(p, h) for p, h in ie_cases],\n"
-        "    'enum': [[fast.union_count(p, h), fast.epoch_count(p, h)]\n"
-        "             for p, h in enum_cases],\n"
-        "    'split': [union_count(p, h) for p, h in split_cases]}))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=tmp_path, capture_output=True, text=True,
-        input=json.dumps([ie_cases, enum_cases, split_cases]),
-        env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
-    )
-    assert proc.returncode == 0, proc.stderr + build.stdout + build.stderr
-    got = json.loads(proc.stdout)
-    assert Path(got["origin"]).resolve().is_relative_to(tmp_path.resolve())
-    assert got["lane"] == "fast", build.stdout + build.stderr
-
-    assert len(got["ie"]) == len(ie_cases) == 8
-    for (periods, hyper), fast_union in zip(ie_cases, got["ie"]):
-        expected = _subset_oracle(periods, hyper)
-        assert pure.union_count(periods, hyper) == expected
-        assert fast_union == expected, periods
-    assert len(got["enum"]) == len(enum_cases)
-    for (periods, hyper), fast_counts in zip(enum_cases, got["enum"]):
-        expected = _set_oracle(periods, hyper)
-        assert pure.union_count(periods, hyper) == expected
-        assert pure.epoch_count(periods, hyper) == expected
-        assert fast_counts == [expected, expected], periods
-    assert len(got["split"]) == len(split_cases)
-    for (periods, hyper), split_count in zip(split_cases, got["split"]):
-        assert split_count == pure.union_count(periods, hyper), periods
-
-
-@pytest.mark.skipif(not (_FAST_PYX.is_file() and _FAST_C.is_file()),
-                    reason="fast.pyx or the committed fast.c is not present")
-def test_fast_c_is_generated_from_fast_pyx():
-    # fast.c is the only build input: an edit to fast.pyx must be followed by
-    # `cython -3 src/jrp_forge/_kernels/fast.pyx`. Cython quotes each source
-    # line in a comment as " * <line>", with a trailing arrow on the line a
-    # block was generated from.
-    quoted = {re.sub(r"\s*# <{14}$", "", line[3:]).rstrip()
-              for line in _FAST_C.read_text().splitlines()
-              if line.startswith(" * ")}
-    code_lines = [line.rstrip() for line in _FAST_PYX.read_text().splitlines()
-                  if line.startswith((" ", "\t", "def ", "cdef "))]
-    assert code_lines
-    missing = [line for line in code_lines if line not in quoted]
-    assert not missing, f"fast.c is stale; regenerate it from fast.pyx: {missing}"
-
-
 def test_pure_union_count_leaves_no_reference_cycles():
-    # and neither does the split above the leaf size
-    cases = _random_normalized_periods(100)
+    # and neither does the split above the leaf size; both count exactly
+    cases = _random_normalized_periods()
     large = _above_leaf(_reduction_shaped_cases())[::8]
     rng = random.Random(10)
     large += [_antichain_of_divisors(rng, size)
@@ -286,16 +181,21 @@ def test_pure_union_count_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        counts = [pure.union_count(periods, hyper)
+        counts = [_kernels._ie(periods, hyper)
                   for periods, hyper in zip(cases, hypers)]
         split_counts = [_kernels.union_count(periods, hyper)
                         for periods, hyper in zip(large, large_hypers)]
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert counts == [_set_oracle(periods, hyper)
-                      for periods, hyper in zip(cases, hypers)]
-    assert split_counts == [pure.union_count(periods, hyper)
+    expected = [_set_oracle(periods, hyper)
+                for periods, hyper in zip(cases, hypers)]
+    assert counts == expected
+    assert [_kernels.union_count(periods, hyper)
+            for periods, hyper in zip(cases, hypers)] == expected
+    assert [_kernels.epoch_count(periods, hyper)
+            for periods, hyper in zip(cases, hypers)] == expected
+    assert split_counts == [_kernels._ie(periods, hyper)
                             for periods, hyper in zip(large, large_hypers)]
 
 
@@ -304,7 +204,7 @@ def test_split_matches_inclusion_exclusion_on_reduction_sets():
     assert {len(ps) for ps in cases} == set(range(_kernels._IE_LEAF + 1, 15))
     for periods in cases:
         hyper = _lcm_all(periods)
-        assert _kernels.union_count(periods, hyper) == pure.union_count(periods, hyper)
+        assert _kernels.union_count(periods, hyper) == _kernels._ie(periods, hyper)
 
 
 def test_split_matches_enumeration_on_divisor_antichains():
@@ -337,7 +237,7 @@ def test_split_on_composite_base_elements():
         base = _kernels._coprime_base(periods)
         assert not any(sympy.isprime(b) for b in base)
         hyper = _lcm_all(periods)
-        assert _kernels.union_count(periods, hyper) == pure.union_count(periods, hyper)
+        assert _kernels.union_count(periods, hyper) == _kernels._ie(periods, hyper)
 
 
 def test_split_absorbs_unpruned_periods():
@@ -346,35 +246,33 @@ def test_split_absorbs_unpruned_periods():
         hyper = _lcm_all(periods)
         assert len(periods) > _kernels._IE_LEAF
         expected = _subset_oracle(periods, hyper)
+        assert _kernels._ie(periods, hyper) == expected
         assert _kernels.union_count(periods, hyper) == expected
         assert _kernels.union_count(periods + periods[:2], hyper) == expected
 
 
-class _NoCompiledCalls:
-    def union_count(self, periods, hyper):
-        raise AssertionError(f"compiled lane got hyper {hyper}")
-
-
-def test_split_sends_leaves_past_int64_to_the_pure_lane(monkeypatch):
+def test_split_counts_leaves_past_int64_exactly():
     # the products of pairs of five primes near 2**40: every leaf's lcm is a
-    # product of at least three of them, so every leaf needs the pure lane,
-    # even where the compiled lane is built
+    # product of at least three of them, so every leaf counts integers past
+    # 64 bits
     primes = [sympy.nextprime(2**40 + 1000 * i) for i in range(5)]
     periods = sorted(a * b for a, b in itertools.combinations(primes, 2))
     hyper = _lcm_all(periods)
     assert len(periods) > _kernels._IE_LEAF and hyper > 2**63
-    leaf_hypers = []
+    assert _kernels.union_count(periods, hyper) == _subset_oracle(periods, hyper)
 
-    def spy(ps, h):
-        leaf_hypers.append(h)
-        return pure_union_count(ps, h)
 
-    pure_union_count = pure.union_count
-    monkeypatch.setattr(pure, "union_count", spy)
-    monkeypatch.setattr(_kernels, "_fast", _NoCompiledCalls())
-    got = _kernels.union_count(periods, hyper)
-    assert leaf_hypers and min(leaf_hypers) > _kernels._I64_MAX
-    assert got == _subset_oracle(periods, hyper)
+def test_compare_kernels_script_checks_its_workloads():
+    # bench/compare_kernels.py times the counts that set _IE_LEAF; its
+    # exactness check runs here on both workloads, without the timing
+    spec = importlib.util.spec_from_file_location("compare_kernels", _COMPARE_KERNELS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    workloads = script.workloads(random.Random(0))
+    assert [name for name, _ in workloads] == ["reduction(n=3..6)", "random-composite"]
+    for _, cases in workloads:
+        assert cases
+        script.check(cases)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -17,6 +17,7 @@ from jrp_forge.reduction import (
     DEFAULT_SCHEME,
     ROUNDTRIP_MAX_CLAUSES,
     ROUNDTRIP_MAX_VARS,
+    _MR_PROVEN_BOUND,
     ConfigRejected,
     PrimePair,
     ReductionConstants,
@@ -66,8 +67,15 @@ CORPUS = {
 def test_is_prime_matches_sympy():
     for n in range(0, 5000):
         assert is_prime(n) == sympy.isprime(n), n
-    for n in (2**31 - 1, 2**61 - 1, 10**12 + 39, 10**12 + 61):
+    for n in (2**31 - 1, 2**61 - 1, 10**12 + 39, 10**12 + 61,
+              sympy.prevprime(_MR_PROVEN_BOUND), _MR_PROVEN_BOUND - 2):
         assert is_prime(n) == sympy.isprime(n), n
+    # the least strong pseudoprime to bases 2..37 is the bound itself, and
+    # every n from there up is refused
+    assert _MR_PROVEN_BOUND == 399165290221 * 798330580441
+    for n in (_MR_PROVEN_BOUND, _MR_PROVEN_BOUND + 2, 2**89 - 1):
+        with pytest.raises(InputError):
+            is_prime(n)
 
 
 def test_select_prime_pairs_frozen():
