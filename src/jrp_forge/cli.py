@@ -32,6 +32,7 @@ from .model import (
     save_instance,
 )
 from .reduction import (
+    CONSTANTS_SCHEME,
     ConfigRejected,
     ReductionConstants,
     assignment_to_policy,
@@ -124,18 +125,14 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # solve
 
-def _parse_fraction_arg(text: str, where: str) -> Fraction:
-    return parse_rational(text, where=where)
-
-
 def cmd_solve(args) -> int:
     instance = load_instance(_read_bytes(args.instance))
     interval = None
     if args.seed_lo is not None or args.seed_hi is not None:
         if args.seed_lo is None or args.seed_hi is None:
             raise InputError("--seed-lo and --seed-hi must be given together")
-        interval = (_parse_fraction_arg(args.seed_lo, "--seed-lo"),
-                    _parse_fraction_arg(args.seed_hi, "--seed-hi"))
+        interval = (parse_rational(args.seed_lo, where="--seed-lo"),
+                    parse_rational(args.seed_hi, where="--seed-hi"))
 
     if args.method == "exhaustive":
         result = exhaustive_search(instance, (args.k_lo, args.k_hi),
@@ -143,7 +140,7 @@ def cmd_solve(args) -> int:
                                    profile_cap=args.profile_cap, cap=args.cap)
     elif args.method == "pot":
         result = power_of_two(instance,
-                              base=_parse_fraction_arg(args.base, "--base"),
+                              base=parse_rational(args.base, where="--base"),
                               optimize_base=args.optimize_base,
                               grid=args.grid, cap=args.cap)
     elif args.method == "descent":
@@ -181,13 +178,13 @@ def cmd_solve(args) -> int:
 def _alpha_from_args(args) -> ReductionConstants:
     kwargs = {}
     if args.alpha_c is not None:
-        kwargs["alpha_c"] = _parse_fraction_arg(args.alpha_c, "--alpha-c")
+        kwargs["alpha_c"] = parse_rational(args.alpha_c, where="--alpha-c")
     if args.alpha_v_bar is not None:
-        kwargs["alpha_v_bar"] = _parse_fraction_arg(args.alpha_v_bar, "--alpha-v-bar")
+        kwargs["alpha_v_bar"] = parse_rational(args.alpha_v_bar, where="--alpha-v-bar")
     if args.alpha_v is not None:
-        kwargs["alpha_v"] = _parse_fraction_arg(args.alpha_v, "--alpha-v")
+        kwargs["alpha_v"] = parse_rational(args.alpha_v, where="--alpha-v")
     if args.alpha_n is not None:
-        kwargs["alpha_n"] = _parse_fraction_arg(args.alpha_n, "--alpha-n")
+        kwargs["alpha_n"] = parse_rational(args.alpha_n, where="--alpha-n")
     return ReductionConstants(**kwargs)
 
 
@@ -196,7 +193,7 @@ def cmd_reduce(args) -> int:
     shape = validate_3sat(formula)
     if not shape.ok:
         raise InputError("; ".join(shape.findings))
-    output = reduce_formula(formula, _alpha_from_args(args), scheme=args.scheme)
+    output = reduce_formula(formula, _alpha_from_args(args))
     payload = reduction_to_json(output)
     with open(args.out, "wb") as fh:
         fh.write(payload)
@@ -210,7 +207,7 @@ def cmd_reduce(args) -> int:
         "constants": counts["constant"],
         "commodities": len(output.instance.commodities),
         "delta": _q(output.delta, args.digits),
-        "scheme": output.constants_scheme,
+        "scheme": CONSTANTS_SCHEME,
     })
     return 0
 
@@ -466,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="compile a 3SAT file to an instance")
     p_reduce.add_argument("cnf")
     p_reduce.add_argument("--out", required=True)
-    p_reduce.add_argument("--scheme", default="paired-anchors")
     p_reduce.add_argument("--alpha-c", default=None)
     p_reduce.add_argument("--alpha-v-bar", default=None)
     p_reduce.add_argument("--alpha-v", default=None)
@@ -522,10 +518,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except JrpError as exc:

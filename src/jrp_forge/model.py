@@ -99,7 +99,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
 
 def validate_policy(instance: Instance, policy: Policy) -> ValidationReport:
     findings: list[str] = []
-    ids = set(instance.ids())
+    ids = dict.fromkeys(instance.ids())   # instance order, once per id
     for cid in ids:
         if cid not in policy.cycles:
             findings.append(f"policy missing cycle for commodity {cid!r}")

@@ -7,7 +7,10 @@ A formula over n variables becomes an instance with three commodity classes:
 * Clauses z_j — anchored at beta times the product of the three literal
   primes, so a clause's series synchronizes with a variable's exactly when
   the variable's chosen prime divides the product (the literal is true);
-* Constants y_k — anchored series that pin the common seed beta.
+* Constants y_k — two anchored series per variable pair, at 7*p_low and
+  7*p_high, that pin the common seed beta. The factor 7 is coprime to every
+  pair prime and never divides a clause target, so the anchors pin the seed
+  without pre-synchronizing any clause.
 
 Constants and Clauses use the anchored construction h = 1/((d^2+2d)t*^2),
 K = 1/(d^2+2d) with d the drift tolerance, which makes the bracketing pair
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import sync
 from .cost import decompose, total_cost
@@ -41,8 +44,9 @@ from .model import (
 from .sat import CnfFormula, brute_force_sat, validate_3sat
 from .sync import CapExceeded
 
-DEFAULT_SCHEME = "paired-anchors"
 _ANCHOR_PRIME = 7
+# the name of the anchor construction, written to meta.constants_scheme
+CONSTANTS_SCHEME = "paired-anchors"
 
 ROUNDTRIP_MAX_VARS = 10
 ROUNDTRIP_MAX_CLAUSES = 15
@@ -226,41 +230,6 @@ def build_variable_commodity(pair: PrimePair, constants: ReductionConstants,
 
 
 # ---------------------------------------------------------------------------
-# constants schemes
-
-def _scheme_paired_anchors(pairs: Sequence[PrimePair]) -> list[int]:
-    """Two anchors per pair at 7*p_low and 7*p_high. The factor 7 is coprime
-    to every pair prime and never divides a clause target, so anchors pin
-    the seed without pre-synchronizing any clause."""
-    targets = []
-    for pair in pairs:
-        targets.append(pair.low * _ANCHOR_PRIME)
-        targets.append(pair.high * _ANCHOR_PRIME)
-    return targets
-
-
-def _scheme_adjacent_products(pairs: Sequence[PrimePair]) -> list[int]:
-    """Ring products of neighbouring pairs plus a unit anchor. Kept as a
-    named alternative; its unit anchor saturates the joint order (every
-    epoch already orders) and its products can pre-cover clause targets, so
-    it is not the default."""
-    n = len(pairs)
-    targets = []
-    for i, pair in enumerate(pairs):
-        nxt = pairs[(i + 1) % n]
-        targets.append(pair.low * nxt.low)
-        targets.append(pair.high * nxt.high)
-    targets.append(1)
-    return targets
-
-
-CONSTANT_SCHEMES: dict[str, Callable[[Sequence[PrimePair]], list[int]]] = {
-    "paired-anchors": _scheme_paired_anchors,
-    "adjacent-products": _scheme_adjacent_products,
-}
-
-
-# ---------------------------------------------------------------------------
 # the reduction
 
 @dataclass(frozen=True)
@@ -270,20 +239,15 @@ class ReductionOutput:
     delta: Fraction
     literal_map: Mapping[int, tuple[int, int]]      # var index -> (low, high)
     clause_targets: Mapping[int, int]               # clause index (1-based) -> t*
-    constants_scheme: str
     alpha: ReductionConstants                       # resolved values
     anchor_targets: Mapping[str, int]               # constant/clause id -> t*
 
     def variable_id(self, i: int) -> str:
         return f"x{i}"
 
-    def clause_id(self, j: int) -> str:
-        return f"z{j}"
-
 
 def reduce_formula(formula: CnfFormula,
-                   constants: Optional[ReductionConstants] = None,
-                   scheme: str = DEFAULT_SCHEME) -> ReductionOutput:
+                   constants: Optional[ReductionConstants] = None) -> ReductionOutput:
     """Build the instance for a 3SAT formula; joint setup 1, every demand 2."""
     shape = validate_3sat(formula)
     if not shape.ok:
@@ -291,10 +255,6 @@ def reduce_formula(formula: CnfFormula,
     n = formula.n_vars
     if n < 1:
         raise InputError("formula must have at least one variable")
-    if scheme not in CONSTANT_SCHEMES:
-        raise InputError(
-            f"unknown constants scheme {scheme!r}; "
-            f"known: {', '.join(sorted(CONSTANT_SCHEMES))}")
     alpha = (constants or ReductionConstants()).resolved(n)
     for name in ("alpha_c", "alpha_v", "alpha_n"):
         if getattr(alpha, name) <= 0:
@@ -307,7 +267,9 @@ def reduce_formula(formula: CnfFormula,
     commodities: list[Commodity] = []
     anchor_targets: dict[str, int] = {}
 
-    for idx, t_star in enumerate(CONSTANT_SCHEMES[scheme](pairs), start=1):
+    # y1 = 7*p_low_1, y2 = 7*p_high_1, y3 = 7*p_low_2, ...
+    anchors = (_ANCHOR_PRIME * p for pair in pairs for p in (pair.low, pair.high))
+    for idx, t_star in enumerate(anchors, start=1):
         cid = f"y{idx}"
         commodities.append(build_constant_commodity(t_star, delta, cid=cid))
         anchor_targets[cid] = t_star
@@ -329,7 +291,7 @@ def reduce_formula(formula: CnfFormula,
     instance = Instance(
         commodities=tuple(commodities),
         joint_setup=Fraction(1),
-        meta=_meta_dict(pairs, delta, clause_targets, scheme, alpha),
+        meta=_meta_dict(pairs, delta, clause_targets, alpha),
     )
     return ReductionOutput(
         instance=instance,
@@ -337,19 +299,18 @@ def reduce_formula(formula: CnfFormula,
         delta=delta,
         literal_map={p.index: (p.low, p.high) for p in pairs},
         clause_targets=clause_targets,
-        constants_scheme=scheme,
         alpha=alpha,
         anchor_targets=anchor_targets,
     )
 
 
-def _meta_dict(pairs, delta, clause_targets, scheme, alpha) -> dict:
+def _meta_dict(pairs, delta, clause_targets, alpha) -> dict:
     return {
         "delta": format_rational(delta),
         "pairs": [[p.low, p.gap, p.high] for p in pairs],
         "literal_map": {str(p.index): [p.low, p.high] for p in pairs},
         "clause_targets": {str(j): t for j, t in clause_targets.items()},
-        "constants_scheme": scheme,
+        "constants_scheme": CONSTANTS_SCHEME,
         "alpha": {
             "alpha_c": format_rational(alpha.alpha_c),
             "alpha_v_bar": format_rational(alpha.alpha_v_bar),
@@ -397,6 +358,9 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
     delta = parse_rational(_meta_get(meta, "delta", "meta"), where="meta.delta")
     raw_pairs = _meta_get(meta, "pairs", "meta")
     scheme = _meta_get(meta, "constants_scheme", "meta")
+    if scheme != CONSTANTS_SCHEME:
+        raise InputError(
+            f"meta.constants_scheme must be {CONSTANTS_SCHEME!r}, got {scheme!r}")
     raw_alpha = _meta_get(meta, "alpha", "meta")
     raw_targets = _meta_get(meta, "clause_targets", "meta")
     if not isinstance(raw_pairs, list):
@@ -442,7 +406,6 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
         delta=delta,
         literal_map={p.index: (p.low, p.high) for p in pairs},
         clause_targets=clause_targets,
-        constants_scheme=scheme,
         alpha=alpha,
         anchor_targets=anchor_targets,
     )
@@ -607,7 +570,6 @@ class _AssignmentTables:
 
 def verify_roundtrip(formula: CnfFormula,
                      constants: Optional[ReductionConstants] = None,
-                     scheme: str = DEFAULT_SCHEME,
                      cap: int | None = None) -> RoundtripReport:
     """Compare the assignment-policy argmin against the brute-force verdict.
 
@@ -628,7 +590,7 @@ def verify_roundtrip(formula: CnfFormula,
         raise CapExceeded(
             f"{len(formula.clauses)} clauses exceeds the round-trip cap of "
             f"{ROUNDTRIP_MAX_CLAUSES}")
-    output = reduce_formula(formula, constants, scheme)
+    output = reduce_formula(formula, constants)
     sat_assignment = brute_force_sat(formula)
     tables = _AssignmentTables(output, cap)
 

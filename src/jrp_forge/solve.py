@@ -49,20 +49,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # exact comparison of per-profile optima
 
-@dataclass(frozen=True)
-class _Cand:
-    kind: str        # "sqrt": value = A*B, cost 2*sqrt(A*B); "rat": value = cost
-    value: Fraction
-
-
-def _cand_lt(a: _Cand, b: _Cand) -> bool:
-    if a.kind == b.kind:
-        return a.value < b.value
-    if a.kind == "sqrt":  # 2*sqrt(ab) < r  <=>  4*ab < r*r  (costs positive)
-        return 4 * a.value < b.value * b.value
-    return a.value * a.value < 4 * b.value
-
-
 def _scaled_lt(x: tuple[bool, int, int], y: tuple[bool, int, int],
                dsb: int) -> bool:
     """x < y for integer candidates (root, p, q) of one exhaustive scan.
@@ -441,7 +427,8 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     standalone_sqs = [c.setup / w for c, w in zip(instance.commodities, weights)]
     target_sqs = [targets[cid] for cid in instance.ids()]
     seen: set[tuple[int, ...]] = set()
-    best: Optional[_Cand] = None
+    # A*B of the best profile (it costs 2*sqrt(A*B)); the first seen wins ties
+    best: Optional[Fraction] = None
     best_profile: Optional[dict[str, int]] = None
     for j in range(grid):
         step = Fraction(_grid_step(j, grid), 2 ** _GRID_BITS)
@@ -459,9 +446,9 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
             seen.add(ks)
             profile = dict(zip(instance.ids(), ks))
             a, b = seed_cost(instance, SeedProfile(profile), cap=cap)
-            cand = _Cand("sqrt", a * b)
-            if best is None or _cand_lt(cand, best):
-                best, best_profile = cand, profile
+            ab = a * b
+            if best is None or ab < best:
+                best, best_profile = ab, profile
 
     assert best_profile is not None
     refined = optimize_seed(instance, best_profile, cap=cap)

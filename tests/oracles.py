@@ -206,8 +206,7 @@ def reference_descent(instance, start, candidate_fn, max_rounds: int = 100,
     return policy, current, nodes
 
 
-def reference_roundtrip(formula, constants=None, scheme=None,
-                        cap: int | None = None):
+def reference_roundtrip(formula, constants=None, cap: int | None = None):
     """verify_roundtrip as one full pricing per assignment.
 
     The straightforward scan: every assignment policy at seed 1 is built,
@@ -220,7 +219,6 @@ def reference_roundtrip(formula, constants=None, scheme=None,
 
     from jrp_forge.cost import total_cost
     from jrp_forge.reduction import (
-        DEFAULT_SCHEME,
         RoundtripReport,
         assignment_to_policy,
         clause_synchronized,
@@ -228,7 +226,7 @@ def reference_roundtrip(formula, constants=None, scheme=None,
     )
     from jrp_forge.sat import brute_force_sat
 
-    output = reduce_formula(formula, constants, scheme or DEFAULT_SCHEME)
+    output = reduce_formula(formula, constants)
     sat_assignment = brute_force_sat(formula)
     rows = []
     for assignment in product((False, True), repeat=formula.n_vars):

@@ -240,7 +240,8 @@ def test_reduce_rejected_config_exits_4(capsys, cnf_file, tmp_path):
     assert "rejected" in err
 
 
-@pytest.mark.parametrize("flag", [["--format", "csv"], ["--cap", "5"]])
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--cap", "5"],
+                                  ["--scheme", "paired-anchors"]])
 def test_reduce_rejects_options_it_would_ignore(capsys, cnf_file, tmp_path, flag):
     # reduce always prints one JSON summary and runs no union-rate expansion
     out = tmp_path / "x.json"
@@ -333,12 +334,12 @@ print(json.dumps(results))
 """
 
 
-def _python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+def _python(*args: str, cwd: Path, **env: str) -> subprocess.CompletedProcess:
     src = str(Path(jrp_forge.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 def test_repeated_main_calls_match_fresh_processes(tmp_path):
@@ -361,3 +362,21 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path):
         fresh.append([p.returncode, p.stdout, p.stderr])
     assert [rc for rc, _, _ in fresh] == [0, 2, 0, 0]
     assert in_process == fresh
+
+
+def test_output_does_not_depend_on_the_string_hash(tmp_path):
+    # identical inputs give byte-identical output in every process,
+    # including the findings of a policy that names no cycle at all
+    (tmp_path / "f.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n")
+    (tmp_path / "empty.json").write_text('{"cycles": {}}')
+    calls = [["reduce", "f.cnf", "--out", "red.json"],
+             ["eval", "red.json", "--policy", "empty.json"]]
+    runs = []
+    for seed in ("1", "2"):
+        procs = [_python("-m", "jrp_forge.cli", *argv, cwd=tmp_path,
+                         PYTHONHASHSEED=seed) for argv in calls]
+        runs.append([(p.returncode, p.stdout, p.stderr) for p in procs])
+    (reduce_rc, _, _), (eval_rc, _, eval_err) = runs[0]
+    assert (reduce_rc, eval_rc) == (0, 2)
+    assert "'y1'; policy missing cycle for commodity 'y2'" in eval_err
+    assert runs[0] == runs[1]

@@ -125,6 +125,15 @@ def test_validate_policy_both_directions():
     assert validate_policy(inst, Policy({"a": F(5), "b": F(3)})).ok
 
 
+def test_validate_policy_reports_missing_ids_in_instance_order():
+    # neither sorted nor in string-hash order: the order the instance lists
+    ids = [f"c{7 * i % 20}" for i in range(20)]
+    inst = Instance(tuple(Commodity(cid, F(2), F(1), F(1)) for cid in ids), F(1))
+    report = validate_policy(inst, Policy({}))
+    assert report.findings == tuple(
+        f"policy missing cycle for commodity {cid!r}" for cid in ids)
+
+
 def test_expand_profile():
     pol = expand_profile(SeedProfile({"a": 2, "b": 5}, beta=F(3, 2)))
     assert pol.cycle("a") == F(3) and pol.cycle("b") == F(15, 2)

@@ -13,8 +13,6 @@ from jrp_forge.cost import decompose, total_cost
 from jrp_forge.eoq import theta_pair
 from jrp_forge.model import CommodityKind, InputError
 from jrp_forge.reduction import (
-    CONSTANT_SCHEMES,
-    DEFAULT_SCHEME,
     ROUNDTRIP_MAX_CLAUSES,
     ROUNDTRIP_MAX_VARS,
     _MR_PROVEN_BOUND,
@@ -240,7 +238,10 @@ def test_reduce_formula_shape():
     assert kinds.count(CommodityKind.VARIABLE) == 3
     assert kinds.count(CommodityKind.CLAUSE) == 1
     assert all(c.demand == 2 for c in inst.commodities)
-    assert out.constants_scheme == DEFAULT_SCHEME
+    assert inst.meta["constants_scheme"] == "paired-anchors"
+    # two anchors per pair at 7*p_low and 7*p_high, in pair order
+    assert [out.anchor_targets[f"y{k}"] for k in range(1, 7)] \
+        == [7 * 11, 7 * 13, 7 * 17, 7 * 19, 7 * 29, 7 * 31]
     assert out.clause_targets == {1: 13 * 19 * 31}
     assert out.literal_map == {1: (11, 13), 2: (17, 19), 3: (29, 31)}
 
@@ -274,17 +275,6 @@ def test_reduce_formula_validates():
                        constants=ReductionConstants(alpha_c=F(0)))
 
 
-def test_alternate_constants_scheme():
-    assert set(CONSTANT_SCHEMES) >= {"paired-anchors", "adjacent-products"}
-    out = reduce_formula(CnfFormula(2, ()), scheme="adjacent-products")
-    assert out.constants_scheme == "adjacent-products"
-    # still a valid reduction: roundtrip on the empty formula holds
-    rep = verify_roundtrip(CnfFormula(2, ()), scheme="adjacent-products")
-    assert rep.verdict_consistent
-    with pytest.raises(InputError):
-        reduce_formula(CnfFormula(2, ()), scheme="no-such-scheme")
-
-
 def test_reduction_json_roundtrip():
     out = reduce_formula(CnfFormula(3, CORPUS["mixed3"]))
     blob = reduction_to_json(out)
@@ -295,25 +285,32 @@ def test_reduction_json_roundtrip():
     assert dict(back.literal_map) == dict(out.literal_map)
     assert dict(back.clause_targets) == dict(out.clause_targets)
     assert dict(back.anchor_targets) == dict(out.anchor_targets)
-    assert back.constants_scheme == out.constants_scheme
     assert back.alpha == out.alpha
+
+
+_DROP = object()
 
 
 @pytest.mark.parametrize("path, value, needle", [
     (("pairs", 0), [11, 2], r"meta\.pairs\[0\]"),
     (("pairs", 1, 1), "two", r"meta\.pairs\[1\]"),
     (("pairs", 2, 0), 29.5, r"meta\.pairs\[2\]"),
-    (("alpha", "alpha_v"), None, "'alpha_v'"),
+    (("alpha", "alpha_v"), _DROP, "'alpha_v'"),
     (("clause_targets",), [1001, 2431], r"meta\.clause_targets"),
+    (("constants_scheme",), ["paired-anchors"], r"meta\.constants_scheme"),
+    (("constants_scheme",), 42, r"meta\.constants_scheme"),
+    (("constants_scheme",), None, r"meta\.constants_scheme"),
+    (("constants_scheme",), "no-such", r"meta\.constants_scheme"),
 ], ids=["short-pair-row", "non-integer-pair-entry", "float-pair-entry",
-        "missing-alpha-v", "clause-targets-list"])
+        "missing-alpha-v", "clause-targets-list", "scheme-list", "scheme-int",
+        "scheme-null", "scheme-unknown"])
 def test_reduction_json_malformed_meta_is_input_error(path, value, needle):
     doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
     *parents, last = path
     node = doc["meta"]
     for key in parents:
         node = node[key]
-    if value is None:
+    if value is _DROP:
         del node[last]
     else:
         node[last] = value
@@ -525,24 +522,6 @@ def test_roundtrip_matches_reference_scan(formula):
     assert verify_roundtrip(formula) == reference_roundtrip(formula)
 
 
-@pytest.mark.parametrize("n, clauses", [
-    (1, ()),
-    (2, ()),
-    (3, CORPUS["mixed4"]),
-    (3, CORPUS["unsat8"]),
-    (4, ((1, 2, 3), (-2, -3, -4), (1, -3, 4), (-1, 2, -4))),
-    (5, ((1, 2, 3), (3, 4, 5), (-1, -4, 5))),
-])
-def test_roundtrip_adjacent_products_matches_reference_scan(n, clauses):
-    # the unit anchor saturates the union (every epoch orders) and the ring
-    # products can divide clause targets
-    formula = CnfFormula(n, clauses)
-    scheme = "adjacent-products"
-    assert 1 in reduce_formula(formula, scheme=scheme).anchor_targets.values()
-    assert verify_roundtrip(formula, scheme=scheme) \
-        == reference_roundtrip(formula, scheme=scheme)
-
-
 @pytest.mark.parametrize("n, constants", [
     (3, ReductionConstants(alpha_v_bar=F(18, 25))),
     (4, ReductionConstants(alpha_v_bar=F(281, 400), alpha_v=F(1, 5))),
@@ -577,20 +556,20 @@ def test_roundtrip_cap_refuses_like_reference_scan(monkeypatch):
         verify_roundtrip(formula, cap=distinct - 1)
 
 
-@pytest.mark.parametrize("n, clauses, scheme", [
-    (3, CORPUS["mixed4"], DEFAULT_SCHEME),
-    (3, CORPUS["unsat8"], DEFAULT_SCHEME),
-    (4, ((1, 2, 3), (1, 2, 3), (-2, -3, -4), (1, -3, 4)), DEFAULT_SCHEME),
-    (5, ((1, 2, 3), (-3, 4, 5)), DEFAULT_SCHEME),
-    (3, CORPUS["mixed3"], "adjacent-products"),
-])
-def test_assignment_tables_price_every_assignment(n, clauses, scheme):
+@pytest.mark.parametrize("n, clauses", [
+    (3, CORPUS["mixed4"]),
+    (3, CORPUS["unsat8"]),
+    (4, ((1, 2, 3), (1, 2, 3), (-2, -3, -4), (1, -3, 4))),
+    (5, ((1, 2, 3), (-3, 4, 5))),
+], ids=["3-clauses0-paired-anchors", "3-clauses1-paired-anchors",
+        "4-clauses2-paired-anchors", "5-clauses3-paired-anchors"])
+def test_assignment_tables_price_every_assignment(n, clauses):
     formula = CnfFormula(n, clauses)
-    out = reduce_formula(formula, scheme=scheme)
+    out = reduce_formula(formula)
     tables = _AssignmentTables(out, None)
     # one table per clause tests each clause's masks on their own
-    singles = [_AssignmentTables(reduce_formula(CnfFormula(n, (c,)), scheme=scheme),
-                                 None) for c in clauses]
+    singles = [_AssignmentTables(reduce_formula(CnfFormula(n, (c,))), None)
+               for c in clauses]
     for assignment in product((False, True), repeat=n):
         policy = assignment_to_policy(out, assignment)
         cost, synced = tables.price(assignment)
