@@ -190,6 +190,8 @@ def _alpha_from_args(args) -> ReductionConstants:
 
 def cmd_reduce(args) -> int:
     formula = parse_dimacs(_read_text(args.cnf))
+    # reduce_formula validates again, but only after the --alpha-* values are
+    # parsed; checking here reports a malformed formula ahead of a bad value
     shape = validate_3sat(formula)
     if not shape.ok:
         raise InputError("; ".join(shape.findings))

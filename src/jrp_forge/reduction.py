@@ -521,11 +521,11 @@ class _AssignmentTables:
     D times an assignment's standalone cost is the anchors' total plus its
     variables' g at their chosen primes, a sum of plain integers, and the
     cost is that sum over D plus K0*UJR. At seed 1 every period is an
-    integer, so the union runs over the anchor and clause targets and the
-    chosen primes with scale 1. A clause is synchronized
-    when a chosen prime divides its target; each clause keeps two bit masks
-    (variable i at bit n-1-i, as in the scan order) of the variables whose
-    high, and whose low, prime divides it.
+    integer, so sync's integer core counts the union of the anchor and
+    clause targets and the chosen primes directly, with no Fraction. A
+    clause is synchronized when a chosen prime divides its target; each
+    clause keeps two bit masks (variable i at bit n-1-i, as in the scan
+    order) of the variables whose high, and whose low, prime divides it.
     """
 
     def __init__(self, output: ReductionOutput, cap: int | None):
@@ -556,11 +556,9 @@ class _AssignmentTables:
         synchronizes every clause."""
         periods = set(self.fixed)
         periods.update(pair[v] for pair, v in zip(self.primes, assignment))
-        sync._require_ie_cap(len(periods), self.cap)
-        rate = sync._int_union_fraction(sync._dedup_prune(periods), 1)
+        count, hyper = sync._int_ujr(periods, self.cap)   # UJR = count / hyper
         standalone = self.anchors + sum(row[v] for row, v in zip(self.g, assignment))
-        cost = Fraction(standalone * rate.denominator + self.k0 * rate.numerator,
-                        self.scale * rate.denominator)
+        cost = Fraction(standalone * hyper + self.k0 * count, self.scale * hyper)
         mask = 0
         for v in assignment:
             mask = 2 * mask + v

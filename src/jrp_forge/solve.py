@@ -147,9 +147,11 @@ def exhaustive_search(instance: Instance, k_bounds,
     denominators (K0 included) and of the holding-weight denominators, and
     H = lcm(ks) the profile's hyperperiod, a = A*D*H and b = B*SB are
     integers and A*B = a*b / (D*SB*H); interior optima compare by
-    cross-multiplying a*b with the other profile's H. A seed interval's
-    clamp tests and endpoint costs stay integer fractions as well. Only the
-    winning profile's seed is refined, by optimize_seed.
+    cross-multiplying a*b with the other profile's H. The joint term of a
+    is K0*D times the union count of sync's integer core, scaled from the
+    core's hyperperiod up to H, once per distinct set of multipliers. A
+    seed interval's clamp tests and endpoint costs stay integer fractions as
+    well. Only the winning profile's seed is refined, by optimize_seed.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -180,10 +182,9 @@ def exhaustive_search(instance: Instance, k_bounds,
         key = frozenset(ks)
         val = joint_cache.get(key)
         if val is None:
-            rate = sync.ujr(key, cap=cap)
+            count, hyper = sync._int_ujr(key, cap)     # UJR = count / hyper
             h = lcm(*key)
-            val = joint_cache[key] = (
-                k0_int * rate.numerator * (h // rate.denominator), h)
+            val = joint_cache[key] = (k0_int * count * (h // hyper), h)
         return val
 
     if interval is not None:

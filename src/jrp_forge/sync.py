@@ -9,17 +9,23 @@ every given family has some series ordering. Both are exact rationals.
 Each union is counted over one hyperperiod by `_kernels.union_count`: by
 inclusion-exclusion for a few series, and above that by an exact split on a
 pairwise-coprime base of the periods with inclusion-exclusion only at small
-leaves. The cap keeps its meaning: at most `cap` distinct series (default
-20) per rate, counted before pruning by ujr and after it by ijr; larger
-inputs raise CapExceeded and should go through ujr_enumerate.
+leaves. `_int_ujr` is the integer core of every union rate: callers whose
+periods are already integers (the exhaustive scan, the roundtrip tables) call
+it directly and get the count and the hyperperiod, with no Fraction. The cap
+keeps its meaning: at most `cap` distinct series (default 20) per rate,
+counted before pruning by ujr and after it by ijr; larger inputs raise
+CapExceeded and should go through ujr_enumerate.
+
+A period is an int, a Fraction, or any value Fraction() accepts, a string
+included; a collection of periods is any other iterable.
 """
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
 
 from . import _kernels
 from .model import InputError, JrpError
@@ -43,25 +49,38 @@ class SeriesFamily:
             raise InputError("series family must be non-empty")
 
 
-def _as_periods(family) -> list[Fraction]:
+def _is_period(value) -> bool:
+    """True for one period (a string or any non-iterable value), False for a
+    collection of periods."""
+    return isinstance(value, (Fraction, int, str)) or not isinstance(value, Iterable)
+
+
+def _as_periods(family) -> list[Fraction | int]:
+    """The positive periods of one family. int and Fraction periods are kept
+    as they are; any other value goes through Fraction()."""
     if isinstance(family, SeriesFamily):
         raw: Iterable = family.periods
-    elif isinstance(family, (Fraction, int)):
+    elif _is_period(family):
         raw = [family]
     else:
         raw = family
     out = []
     for t in raw:
-        t = Fraction(t)
-        if t <= 0:
+        if type(t) is not int and type(t) is not Fraction:
+            try:
+                t = Fraction(t)
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(
+                    f"series period must be a rational number, got {t!r}") from None
+        if t.numerator <= 0:
             raise InputError(f"series period must be > 0, got {t}")
         out.append(t)
     return out
 
 
-def _flatten(families, what: str) -> list[Fraction]:
+def _flatten(families, what: str) -> list[Fraction | int]:
     """All periods of flat periods, one family, or a collection of families."""
-    if isinstance(families, (SeriesFamily, Fraction, int)):
+    if isinstance(families, SeriesFamily) or _is_period(families):
         periods = _as_periods(families)
     else:
         periods = [t for fam in families for t in _as_periods(fam)]
@@ -141,6 +160,17 @@ def _require_ie_cap(distinct: int, cap: int | None) -> None:
         )
 
 
+def _int_ujr(distinct_ints: Collection[int], cap: int | None) -> tuple[int, int]:
+    """(count, hyper) for distinct positive integer periods: the union of
+    their multiples holds `count` epochs in (0, hyper], so the union rate is
+    count/hyper, not reduced. hyper is the lcm of the periods left after
+    pruning. The cap counts the distinct periods before pruning."""
+    _require_ie_cap(len(distinct_ints), cap)
+    pruned = _dedup_prune(distinct_ints)
+    hyper = lcm(*pruned)
+    return _kernels.union_count(pruned, hyper), hyper
+
+
 def ujr(families, cap: int | None = None) -> Fraction:
     """Union joint-replenishment rate |union of all series| / hyperperiod.
 
@@ -148,9 +178,8 @@ def ujr(families, cap: int | None = None) -> Fraction:
     one family, or a collection of families. Exact.
     """
     ints, scale = _scale_to_integers(_flatten(families, "ujr"))
-    distinct = set(ints)
-    _require_ie_cap(len(distinct), cap)
-    return _int_union_fraction(_dedup_prune(distinct), scale)
+    count, hyper = _int_ujr(set(ints), cap)
+    return Fraction(count * scale, hyper)
 
 
 def _ujr_with(others: Sequence[Fraction],

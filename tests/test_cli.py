@@ -240,6 +240,18 @@ def test_reduce_rejected_config_exits_4(capsys, cnf_file, tmp_path):
     assert "rejected" in err
 
 
+def test_reduce_reports_bad_clause_before_bad_constant(capsys, tmp_path):
+    # the formula is validated before the --alpha-* values are parsed
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text("p cnf 4 1\n1 2 3 4 0\n")
+    out = tmp_path / "o.json"
+    rc, stdout, err = run(capsys, "reduce", str(cnf), "--out", str(out),
+                          "--alpha-c", "abc")
+    assert (rc, stdout) == (2, "")
+    assert err == "error: clause 1: expected 3 literals, found 4\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--format", "csv"], ["--cap", "5"],
                                   ["--scheme", "paired-anchors"]])
 def test_reduce_rejects_options_it_would_ignore(capsys, cnf_file, tmp_path, flag):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrp_forge import sync
+from jrp_forge import _kernels, sync
+from jrp_forge import solve as solve_mod
 from jrp_forge.cli import _random_instance
 from jrp_forge.cost import total_cost
 from jrp_forge.eoq import optimal_cycle, sqrt_fraction, standalone_cost
@@ -116,6 +118,54 @@ def test_exhaustive_profile_cap():
 
     with pytest.raises(CapExceeded):
         exhaustive_search(trio(), (1, 200), profile_cap=1000)
+
+
+def quartet():
+    return trio((F(8), F(18), F(50), F(32)))
+
+
+def test_exhaustive_cap_counts_distinct_multipliers():
+    # the first profile with four distinct multipliers is refused, with the
+    # message ujr gives
+    with pytest.raises(sync.CapExceeded) as exc:
+        exhaustive_search(quartet(), (1, 8), cap=3)
+    assert str(exc.value) == (
+        "4 distinct series exceed the inclusion-exclusion cap 3; "
+        "use ujr_enumerate or raise the cap")
+
+
+def test_exhaustive_counts_each_multiplier_set_once(monkeypatch):
+    # the scan takes union counts from sync's integer core, once per
+    # distinct set of multipliers; sync.ujr runs only in the refinement
+    calls = {"ujr": 0, "scan_counts": 0}
+    refining = []
+    ujr, union_count, optimize_seed = (
+        sync.ujr, _kernels.union_count, solve_mod.optimize_seed)
+
+    def traced_ujr(*args, **kwargs):
+        assert refining, "sync.ujr called outside the seed refinement"
+        calls["ujr"] += 1
+        return ujr(*args, **kwargs)
+
+    def traced_union_count(*args, **kwargs):
+        if not refining:
+            calls["scan_counts"] += 1
+        return union_count(*args, **kwargs)
+
+    def traced_optimize_seed(*args, **kwargs):
+        refining.append(True)
+        try:
+            return optimize_seed(*args, **kwargs)
+        finally:
+            refining.pop()
+
+    monkeypatch.setattr(sync, "ujr", traced_ujr)
+    monkeypatch.setattr(_kernels, "union_count", traced_union_count)
+    monkeypatch.setattr(solve_mod, "optimize_seed", traced_optimize_seed)
+    exhaustive_search(quartet(), (1, 8))
+    distinct_sets = {frozenset(ks) for ks in itertools.product(range(1, 9), repeat=4)}
+    assert calls["scan_counts"] == len(distinct_sets) == 162
+    assert 1 <= calls["ujr"] <= 2
 
 
 def test_exhaustive_per_commodity_bounds():

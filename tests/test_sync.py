@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jrp_forge import sync
 from jrp_forge.model import InputError
 from jrp_forge.sync import (
     CapExceeded,
@@ -101,6 +102,59 @@ def test_cap_exceeded_and_override():
         ujr(series)
     val = ujr(series, cap=21)
     assert F(1, 4) < val < sum(F(1, p) for p in nums)
+
+
+# divisors of 5040 = 2^4*3^2*5*7: sets of up to 10 keep enumeration small
+# and reach the kernel's split above 7 series
+divisors_5040 = [d for d in range(1, 5041) if 5040 % d == 0]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sets(st.sampled_from(divisors_5040), min_size=1, max_size=10))
+def test_int_core_matches_enumeration_and_every_form(ints):
+    count, hyper = sync._int_ujr(ints, None)
+    rate = F(count, hyper)
+    assert rate == ujr_enumerate(sorted(ints))
+    flat = sorted(ints)
+    forms = (flat, [F(p) for p in flat], SeriesFamily(tuple(F(p) for p in flat)),
+             [[p] for p in flat], [flat[:1], [F(p) for p in flat[1:]]])
+    for form in forms:
+        assert ujr(form) == rate
+
+
+def test_int_core_cap_counts_before_pruning():
+    # 4 divides 8 and 16: one series after pruning, three before
+    assert sync._int_ujr({4, 8, 16}, 3) == (1, 4)
+    with pytest.raises(CapExceeded, match="3 distinct series exceed the "
+                       "inclusion-exclusion cap 2; use ujr_enumerate"):
+        sync._int_ujr({4, 8, 16}, 2)
+
+
+def test_string_in_flat_list_is_one_period():
+    assert ujr(["12"]) == F(1, 12)
+    assert ujr([["12"]]) == F(1, 12)
+
+
+def test_bare_string_is_one_period():
+    assert ujr("12") == F(1, 12)
+
+
+def test_hyperperiod_string_is_one_period():
+    assert hyperperiod(["35"]) == F(35)
+
+
+def test_float_in_flat_list_is_one_period():
+    assert ujr([2.5, 2]) == ujr([[2.5], [2]]) == F(4, 5)
+
+
+def test_none_period_raises_input_error():
+    with pytest.raises(InputError, match="rational number, got None"):
+        ujr([None, 2])
+
+
+def test_unparsable_string_period_raises_input_error():
+    with pytest.raises(InputError, match="rational number, got 'abc'"):
+        ujr([["abc"]])
 
 
 def test_enumerate_cap():
