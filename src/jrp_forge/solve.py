@@ -7,9 +7,12 @@ exhaustive_search compares profiles as plain integers: a*b over each
 profile's hyperperiod lcm(ks), with no Fraction and no square root until the
 final refinement of the winning seed. power_of_two rounds to exponents by
 integer bit lengths and builds its base grid from exact integer roots.
-coordinate_descent prices each trial move incrementally: only the moved
-cycle's standalone cost and the union rate change, and the other cycles are
-scaled and pruned once per commodity.
+coordinate_descent prices each trial move incrementally and in plain
+integers: only the moved cycle's standalone cost and the union rate change,
+the other cycles are scaled and pruned once per commodity, and each trial
+total is one integer fraction compared by cross-multiplication. The
+candidates are not sorted; an explicit tie rule makes the result independent
+of their order.
 """
 from __future__ import annotations
 
@@ -265,9 +268,16 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
 
     A trial changes one cycle, so it is priced incrementally and exactly:
     rest + K/t + w*t + K0*UJR, where rest is the other commodities' fixed
-    standalone cost and the union rate comes from sync._ujr_with, which
-    scales and prunes the other cycles once per commodity. The start policy
-    and every accepted move go through total_cost.
+    standalone cost and the union rate num/den comes from sync._ujr_with,
+    which scales and prunes the other cycles once per commodity. With rest,
+    K, w and K0 put over one lcm d as integers cr, ck, cw, c0, a trial
+    t = p/q costs ((cr*pq + ck*q^2 + cw*p^2)*den + c0*num*pq) / (pq*den)
+    times 1/d, and trials compare by cross-multiplication, with no Fraction.
+    The candidates are visited in set order, unsorted: a trial replaces the
+    best when its total is strictly lower, or equal with a smaller t, so the
+    least (total, t) wins in any order. A move is made only when that total
+    is strictly below the current one. The start policy and every accepted
+    move go through total_cost.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -291,17 +301,35 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
             rest = current.standalone_total - (k / t_now + w * t_now)
             rate = sync._ujr_with([policy.cycle(c.id) for c in instance.commodities
                                    if c.id != cid], cap)
+            # d * (rest + K/t + w*t + K0*UJR) over the lcm d of the four
+            # denominators, so every trial is an integer fraction
+            d = lcm(rest.denominator, k.denominator, w.denominator,
+                    k0.denominator)
+            cr, ck, cw, c0 = (x.numerator * (d // x.denominator)
+                              for x in (rest, k, w, k0))
+            # the best so far: d*total = best_num/best_den at cycle bp/bq
             best_t = t_now
-            best_total = current.total
-            for t in sorted(set(candidate_fn(instance, policy, cid))):
-                if t <= 0 or t == t_now:
+            pn, qn = bp, bq = t_now.numerator, t_now.denominator
+            best_num = current.total.numerator * d
+            best_den = current.total.denominator
+            start_num, start_den = best_num, best_den
+            for t in set(candidate_fn(instance, policy, cid)):
+                # a non-rational candidate (a float) fails on .denominator
+                q, p = t.denominator, t.numerator
+                if p <= 0 or (p == pn and q == qn):
                     continue
                 nodes += 1
-                trial_total = rest + k / t + w * t + k0 * rate(t)
-                if trial_total < best_total or (
-                        trial_total == best_total and t < best_t):
-                    best_t, best_total = t, trial_total
-            if best_total < current.total:
+                num, den = rate(t)
+                pq = p * q
+                trial_num = (cr * pq + ck * q * q + cw * p * p) * den + c0 * num * pq
+                trial_den = pq * den
+                # strictly lower, or equal with the smaller cycle: the least
+                # (total, t) whatever order the set yields
+                lhs, rhs = trial_num * best_den, best_num * trial_den
+                if lhs < rhs or (lhs == rhs and p * bq < bp * q):
+                    best_t, bp, bq = t, p, q
+                    best_num, best_den = trial_num, trial_den
+            if best_num * start_den < start_num * best_den:
                 policy = Policy({**policy.cycles, cid: best_t})
                 current = total_cost(instance, policy, cap=cap)
                 improved = True

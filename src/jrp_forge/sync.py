@@ -17,7 +17,9 @@ counted before pruning by ujr and after it by ijr; larger inputs raise
 CapExceeded and should go through ujr_enumerate.
 
 A period is an int, a Fraction, or any value Fraction() accepts, a string
-included; a collection of periods is any other iterable.
+included; a collection of periods is any other iterable, and so is a
+SeriesFamily's `periods`, which may also hold one period. bytes and bytearray
+are one period as well, which Fraction() rejects with InputError.
 """
 from __future__ import annotations
 
@@ -50,20 +52,19 @@ class SeriesFamily:
 
 
 def _is_period(value) -> bool:
-    """True for one period (a string or any non-iterable value), False for a
-    collection of periods."""
-    return isinstance(value, (Fraction, int, str)) or not isinstance(value, Iterable)
+    """True for one period (a string, bytes or any non-iterable value), False
+    for a collection of periods."""
+    return isinstance(value, (Fraction, int, str, bytes, bytearray)) \
+        or not isinstance(value, Iterable)
 
 
 def _as_periods(family) -> list[Fraction | int]:
-    """The positive periods of one family. int and Fraction periods are kept
-    as they are; any other value goes through Fraction()."""
+    """The positive periods of one family, a SeriesFamily's included. int and
+    Fraction periods are kept as they are; any other value goes through
+    Fraction()."""
     if isinstance(family, SeriesFamily):
-        raw: Iterable = family.periods
-    elif _is_period(family):
-        raw = [family]
-    else:
-        raw = family
+        family = family.periods
+    raw = [family] if _is_period(family) else family
     out = []
     for t in raw:
         if type(t) is not int and type(t) is not Fraction:
@@ -141,12 +142,15 @@ def _enumeration_hyper(ints: Sequence[int], max_points: int | None) -> int:
     return hyper
 
 
-def _int_union_fraction(int_periods: Sequence[int], scale: int) -> Fraction:
-    if not int_periods:
-        return Fraction(0)
+def _int_union(int_periods: Sequence[int], scale: int) -> tuple[int, int]:
+    """(count*scale, hyper): the union rate of non-empty pruned integer
+    periods over the scale L, not reduced; hyper is their lcm."""
     hyper = lcm(*int_periods)
-    count = _kernels.union_count(int_periods, hyper)
-    return Fraction(count * scale, hyper)
+    return _kernels.union_count(int_periods, hyper) * scale, hyper
+
+
+def _int_union_fraction(int_periods: Sequence[int], scale: int) -> Fraction:
+    return Fraction(*_int_union(int_periods, scale)) if int_periods else Fraction(0)
 
 
 def _require_ie_cap(distinct: int, cap: int | None) -> None:
@@ -166,9 +170,7 @@ def _int_ujr(distinct_ints: Collection[int], cap: int | None) -> tuple[int, int]
     count/hyper, not reduced. hyper is the lcm of the periods left after
     pruning. The cap counts the distinct periods before pruning."""
     _require_ie_cap(len(distinct_ints), cap)
-    pruned = _dedup_prune(distinct_ints)
-    hyper = lcm(*pruned)
-    return _kernels.union_count(pruned, hyper), hyper
+    return _int_union(_dedup_prune(distinct_ints), 1)
 
 
 def ujr(families, cap: int | None = None) -> Fraction:
@@ -183,23 +185,28 @@ def ujr(families, cap: int | None = None) -> Fraction:
 
 
 def _ujr_with(others: Sequence[Fraction],
-              cap: int | None) -> Callable[[Fraction], Fraction]:
-    """t -> ujr(others + [t]) for many positive t against fixed `others`.
+              cap: int | None) -> Callable[[Fraction], tuple[int, int]]:
+    """t -> (num, den) with ujr(others + [t]) == num/den, for many positive
+    t against fixed `others`; the pair is count*scale over the hyperperiod,
+    not reduced.
 
     The others are scaled to integers over their denominator lcm L0 and
     pruned once. A candidate t = p/q rescales them to lcm(L0, q): when an
     other divides t the union is the others' own rate, otherwise the others
     that t divides drop out and t joins the rest. The cap counts distinct
-    series before pruning, as ujr does.
+    series before pruning, as ujr does; below the cap no single t can pass
+    it, so t is not looked up.
     """
     distinct = set(others)
+    below_cap = len(distinct) < (DEFAULT_IE_CAP if cap is None else cap)
     ints, l0 = _scale_to_integers(others)
     pruned = _dedup_prune(ints)
-    own_rate: Fraction | None = None
+    own_rate: tuple[int, int] | None = None
 
-    def rate(t: Fraction) -> Fraction:
+    def rate(t: Fraction) -> tuple[int, int]:
         nonlocal own_rate
-        _require_ie_cap(len(distinct) + (t not in distinct), cap)
+        if not below_cap:
+            _require_ie_cap(len(distinct) + (t not in distinct), cap)
         scale = lcm(l0, t.denominator)
         up = scale // l0
         tp = t.numerator * (scale // t.denominator)
@@ -208,12 +215,12 @@ def _ujr_with(others: Sequence[Fraction],
             b *= up
             if tp % b == 0:
                 if own_rate is None:
-                    own_rate = _int_union_fraction(pruned, l0)
+                    own_rate = _int_union(pruned, l0)
                 return own_rate
             if b % tp:
                 kept.append(b)
         insort(kept, tp)
-        return _int_union_fraction(kept, scale)
+        return _int_union(kept, scale)
 
     return rate
 

@@ -399,6 +399,49 @@ def test_descent_cap_refusal_matches_ujr():
                                            cap=2)[0]
 
 
+def _in_orders(cands, seed):
+    shuffled = list(cands)
+    random.Random(seed).shuffle(shuffled)
+    return (sorted(cands), sorted(cands, reverse=True), shuffled)
+
+
+def _descent_result(instance, start, candidate_fn):
+    res = coordinate_descent(instance, start=start, candidate_fn=candidate_fn)
+    return _typed(res.policy), res.cost, res.nodes_explored
+
+
+def test_descent_does_not_depend_on_candidate_order():
+    # "a" sits on cycle 1, so every integer cycle of "b" has union rate 1
+    # and b pays 30/t + t + 1: cycles 5 and 6 tie exactly at the minimum
+    inst = Instance((Commodity("a", F(2), F(1), F(3)),
+                     Commodity("b", F(2), F(1), F(30))), F(1))
+    start = Policy({"a": F(1), "b": F(10)})
+    cands = [F(1), 2, F(3), 4, 5, F(6), F(7), 8, F(11, 2), F(9, 2), F(3, 2)]
+    assert total_cost(inst, Policy({"a": F(1), "b": 5})).total \
+        == total_cost(inst, Policy({"a": F(1), "b": F(6)})).total
+    want = None
+    for order in _in_orders(cands, 13):
+        got = _descent_result(inst, start, lambda ins, pol, cid, order=order:
+                              order if cid == "b" else [])
+        assert got[0]["b"] == (int, 5)    # the smaller of the tied cycles
+        assert want is None or got == want
+        want = got
+    policy, cost, nodes = reference_descent(
+        inst, start, lambda ins, pol, cid: cands if cid == "b" else [])
+    assert want == (_typed(policy), cost, nodes)
+
+    # the same on random instances, with every commodity moving
+    rng = random.Random(31)
+    for n in (2, 3, 5, 8):
+        inst = _random_instance(rng, n)
+        start = coordinate_descent(inst, max_rounds=0).policy
+        cands = sorted(set(_mixed_candidates(inst, start, inst.ids()[0])))
+        first, *others = [_descent_result(inst, start,
+                                          lambda ins, pol, cid, order=order: order)
+                          for order in _in_orders(cands, n)]
+        assert all(got == first for got in others), n
+
+
 def test_pot_exponent_matches_cost_comparison():
     rng = random.Random(99)
     signs = Counter()

@@ -157,6 +157,73 @@ def test_unparsable_string_period_raises_input_error():
         ujr([["abc"]])
 
 
+def test_bytes_period_raises_input_error():
+    with pytest.raises(InputError, match=r"rational number, got b'12'"):
+        ujr(b"12")
+
+
+def test_bytearray_in_flat_list_raises_input_error():
+    with pytest.raises(InputError, match=r"got bytearray\(b'12'\)"):
+        ujr([bytearray(b"12")])
+
+
+def test_series_family_of_one_string_is_one_period():
+    assert ujr(SeriesFamily("12")) == F(1, 12)
+
+
+def test_series_family_of_one_int_is_one_period():
+    assert ujr(SeriesFamily(12)) == F(1, 12)
+
+
+def _rate_with(others, t, cap=None):
+    num, den = sync._ujr_with(others, cap)(t)
+    return F(num, den)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.fractions(min_value=F(1, 6), max_value=F(40),
+                             max_denominator=6) | st.integers(1, 40),
+                min_size=0, max_size=6),
+       st.lists(st.fractions(min_value=F(1, 8), max_value=F(60),
+                             max_denominator=8) | st.integers(1, 60),
+                min_size=1, max_size=4))
+def test_ujr_with_matches_ujr(others, ts):
+    # one closure answers many trials, as descent uses it
+    rate = sync._ujr_with(others, None)
+    for t in ts:
+        num, den = rate(t)
+        assert F(num, den) == ujr(others + [t])
+
+
+def test_ujr_with_cases():
+    assert _rate_with([], F(7, 2)) == F(2, 7)            # a lone series
+    assert _rate_with([], 5) == F(1, 5)
+    # an other divides t: the others' own rate, twice from one closure
+    rate = sync._ujr_with([F(2), 3], None)
+    assert F(*rate(F(6))) == F(*rate(4)) == ujr([2, 3]) == F(2, 3)
+    # t divides an other, which drops out
+    assert _rate_with([F(6), 5], 3) == ujr([3, 5]) == F(7, 15)
+    # t brings a new denominator
+    assert _rate_with([F(2), F(3, 2)], F(5, 3)) == ujr([2, F(3, 2), F(5, 3)])
+    # int and Fraction others are the same series
+    assert _rate_with([2, F(2), 3], F(5)) == ujr([2, 3, 5])
+
+
+def test_ujr_with_cap_message_matches_ujr():
+    refused = [([F(2), 3], F(5), 2),          # a new third series
+               ([F(2), F(3), F(5)], F(7), 2),  # the others alone exceed it
+               ([F(2), F(3), F(5)], 3, 2),
+               ([4, 8], 16, 2)]               # counted before pruning
+    for others, t, cap in refused:
+        with pytest.raises(CapExceeded) as want:
+            ujr(others + [t], cap=cap)
+        with pytest.raises(CapExceeded) as got:
+            _rate_with(others, t, cap)
+        assert str(got.value) == str(want.value)
+    # t repeats an other: no new series, within the cap
+    assert _rate_with([F(2), 3], 2, 2) == ujr([2, 3, 2], cap=2)
+
+
 def test_enumerate_cap():
     with pytest.raises(CapExceeded):
         ujr_enumerate([F(2), F(999983)], max_points=10)
