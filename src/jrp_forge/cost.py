@@ -7,11 +7,15 @@ the joint setup paid at the union rate:
 
 The decomposition charges each commodity class its marginal union
 contribution in the fixed order constants -> variables -> clauses.
+
+seed_cost and the exhaustive and power-of-two scans price a multiplier
+profile through one integer helper, _profile_pricer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Optional
 
 from . import sync
@@ -153,6 +157,41 @@ def jr_bounds(instance: Instance, policy: Policy, commodity_id: str,
     return lb, ub
 
 
+def _profile_pricer(instance: Instance, cap: int | None):
+    """Integer prices of multiplier profiles: (price, D, SB).
+
+    With D and SB the lcms of the setup denominators (K0 included) and of
+    the holding-weight denominators (w = lambda*h/2), and H = lcm(ks) a
+    profile's hyperperiod, cost(beta) = A/beta + B*beta has integer
+    a = A*D*H and b = B*SB, so A*B = a*b / (D*SB*H). price(ks) returns
+    (a, b, H) for multipliers ks in commodity order. The joint term of a is
+    K0*D times the union count of sync's integer core, scaled from the
+    core's hyperperiod up to H, computed once per distinct set of
+    multipliers; its cap check is the one ujr makes.
+    """
+    (k0_int, *setup_ints), d = sync._scale_to_integers(
+        [instance.joint_setup, *(c.setup for c in instance.commodities)])
+    weight_ints, sb = sync._scale_to_integers(
+        [c.demand * c.holding / 2 for c in instance.commodities])
+    joint_cache: dict[frozenset[int], tuple[int, int]] = {}
+
+    def price(ks: tuple[int, ...]) -> tuple[int, int, int]:
+        key = frozenset(ks)
+        joint = joint_cache.get(key)
+        if joint is None:
+            count, hyper = sync._int_ujr(key, cap)     # UJR = count / hyper
+            h = lcm(*key)
+            joint = joint_cache[key] = (k0_int * count * (h // hyper), h)
+        a, h = joint
+        b = 0
+        for setup, weight, k in zip(setup_ints, weight_ints, ks):
+            a += setup * (h // k)
+            b += weight * k
+        return a, b, h
+
+    return price, d, sb
+
+
 def seed_cost(instance: Instance, profile: SeedProfile,
               cap: int | None = None) -> tuple[Fraction, Fraction]:
     """Coefficients (A, B) with cost(beta) = A/beta + B*beta for the profile.
@@ -164,14 +203,12 @@ def seed_cost(instance: Instance, profile: SeedProfile,
     ids = set(instance.ids())
     if set(profile.multipliers) != ids:
         raise InputError("profile does not cover the instance's commodities")
-    a = Fraction(0)
-    b = Fraction(0)
-    for c in instance.commodities:
-        k = profile.multipliers[c.id]
+    if not ids:
+        raise InputError("cannot price an empty instance")
+    ks = tuple(profile.multipliers[c.id] for c in instance.commodities)
+    for c, k in zip(instance.commodities, ks):
         if not isinstance(k, int) or k < 1:
             raise InputError(f"multiplier for {c.id!r} must be a positive integer")
-        a += c.setup / k
-        b += c.demand * c.holding * k / 2
-    a += instance.joint_setup * sync.ujr(
-        [profile.multipliers[c.id] for c in instance.commodities], cap=cap)
-    return a, b
+    price, d, sb = _profile_pricer(instance, cap)
+    a, b, h = price(ks)
+    return Fraction(a, d * h), Fraction(b, sb)

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from math import isqrt
 from typing import Mapping, Optional, Sequence
 
 from . import sync
@@ -538,13 +538,10 @@ class _AssignmentTables:
         g = [tuple(standalone_cost(instance.commodity(output.variable_id(p.index)),
                                    Fraction(q)) for q in (p.low, p.high))
              for p in output.pairs]
-        k0 = instance.joint_setup
-        self.scale = lcm(anchors.denominator, k0.denominator,
-                         *(x.denominator for row in g for x in row))
-        self.anchors = anchors.numerator * (self.scale // anchors.denominator)
-        self.g = tuple(tuple(x.numerator * (self.scale // x.denominator) for x in row)
-                       for row in g)
-        self.k0 = k0.numerator * (self.scale // k0.denominator)
+        ints, self.scale = sync._scale_to_integers(
+            [anchors, instance.joint_setup, *(x for row in g for x in row)])
+        self.anchors, self.k0 = ints[:2]
+        self.g = tuple(zip(ints[2::2], ints[3::2]))     # (low, high) per pair
         bits = [1 << i for i in reversed(range(len(self.primes)))]
         self.clause_masks = tuple(
             (sum(b for b, (_, high) in zip(bits, self.primes) if t % high == 0),

@@ -3,10 +3,11 @@
 Every winner is selected with exact rational comparisons. Optima of the form
 2*sqrt(A*B) are compared through A*B (and against rational endpoint costs
 through squares), so ties break deterministically and never through floats.
-exhaustive_search compares profiles as plain integers: a*b over each
-profile's hyperperiod lcm(ks), with no Fraction and no square root until the
-final refinement of the winning seed. power_of_two rounds to exponents by
-integer bit lengths and builds its base grid from exact integer roots.
+exhaustive_search and power_of_two rank profiles by the plain integers of
+cost._profile_pricer: a*b over each profile's hyperperiod lcm(ks), with no
+Fraction and no square root until the winning seed is refined. power_of_two
+rounds to exponents by integer bit lengths and builds its base grid from
+exact integer roots.
 coordinate_descent prices each trial move incrementally and in plain
 integers: only the moved cycle's standalone cost and the union rate change,
 the other cycles are scaled and pruned once per commodity, and each trial
@@ -20,11 +21,10 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import sync
-from .cost import CostBreakdown, seed_cost, total_cost
+from .cost import CostBreakdown, _profile_pricer, seed_cost, total_cost
 from .eoq import optimal_cycle, sqrt_fraction, standalone_cost
 from .model import (
     InputError,
@@ -54,7 +54,7 @@ class SolveResult:
 
 def _scaled_lt(x: tuple[bool, int, int], y: tuple[bool, int, int],
                dsb: int) -> bool:
-    """x < y for integer candidates (root, p, q) of one exhaustive scan.
+    """x < y for integer candidates (root, p, q) of one profile scan.
 
     A root candidate costs 2*sqrt(A*B) with A*B = p / (q*dsb); any other
     costs the rational p/q. Every integer is positive, so cross-multiplying
@@ -146,14 +146,10 @@ def exhaustive_search(instance: Instance, k_bounds,
     Profiles are scanned in lexicographic order over the instance's commodity
     order, so cost ties keep the lexicographically smallest profile.
 
-    The scan is exact integer arithmetic. With D and SB the lcms of the setup
-    denominators (K0 included) and of the holding-weight denominators, and
-    H = lcm(ks) the profile's hyperperiod, a = A*D*H and b = B*SB are
-    integers and A*B = a*b / (D*SB*H); interior optima compare by
-    cross-multiplying a*b with the other profile's H. The joint term of a
-    is K0*D times the union count of sync's integer core, scaled from the
-    core's hyperperiod up to H, once per distinct set of multipliers. A
-    seed interval's clamp tests and endpoint costs stay integer fractions as
+    The scan is exact integer arithmetic. cost._profile_pricer gives each
+    profile's integers a, b and H with A*B = a*b / (D*SB*H); interior optima
+    compare by cross-multiplying a*b with the other profile's H. A seed
+    interval's clamp tests and endpoint costs stay integer fractions as
     well. Only the winning profile's seed is refined, by optimize_seed.
     """
     t0 = time.perf_counter()
@@ -169,39 +165,15 @@ def exhaustive_search(instance: Instance, k_bounds,
             f"{n_profiles} profiles exceed the cap of {profile_cap}")
 
     ids = instance.ids()
-    k0 = instance.joint_setup
-    setups = [c.setup for c in instance.commodities]
-    weights = [c.demand * c.holding / 2 for c in instance.commodities]
-    d = lcm(k0.denominator, *(s.denominator for s in setups))
-    sb = lcm(*(w.denominator for w in weights))
-    k0_int = k0.numerator * (d // k0.denominator)
-    setup_ints = [s.numerator * (d // s.denominator) for s in setups]
-    weight_ints = [w.numerator * (sb // w.denominator) for w in weights]
+    price, d, sb = _profile_pricer(instance, cap)
     dsb = d * sb
-    joint_cache: dict[frozenset[int], tuple[int, int]] = {}
-
-    def joint_term(ks: tuple[int, ...]) -> tuple[int, int]:
-        """(K0 * UJR(ks) * D * H, H) with H = lcm(ks)."""
-        key = frozenset(ks)
-        val = joint_cache.get(key)
-        if val is None:
-            count, hyper = sync._int_ujr(key, cap)     # UJR = count / hyper
-            h = lcm(*key)
-            val = joint_cache[key] = (k0_int * count * (h // hyper), h)
-        return val
-
     if interval is not None:
         (lo_n, lo_m), (hi_n, hi_m) = (q.as_integer_ratio() for q in interval)
     best: Optional[tuple[bool, int, int]] = None
     best_profile: Optional[tuple[int, ...]] = None
     ranges = [range(lo, hi + 1) for lo, hi in (bounds[cid] for cid in ids)]
     for ks in itertools.product(*ranges):
-        joint, h = joint_term(ks)
-        a = joint       # A * D * H
-        b = 0           # B * SB
-        for setup, weight, k in zip(setup_ints, weight_ints, ks):
-            a += setup * (h // k)
-            b += weight * k
+        a, b, h = price(ks)     # A*D*H, B*SB, lcm(ks)
         cand = (True, a * b, h)
         if interval is not None:
             x, y = a * sb, b * d * h                    # A/B = x/y
@@ -240,6 +212,8 @@ def default_candidates(instance: Instance, policy: Policy,
     for other, t in policy.cycles.items():
         if other == cid:
             continue
+        if type(t) is not Fraction:     # an int would give float quotients
+            t = Fraction(t)
         for m in (1, 2, 3, 4):
             cands.add(t * m)
             cands.add(t / m)
@@ -303,10 +277,7 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
                                    if c.id != cid], cap)
             # d * (rest + K/t + w*t + K0*UJR) over the lcm d of the four
             # denominators, so every trial is an integer fraction
-            d = lcm(rest.denominator, k.denominator, w.denominator,
-                    k0.denominator)
-            cr, ck, cw, c0 = (x.numerator * (d // x.denominator)
-                              for x in (rest, k, w, k0))
+            (cr, ck, cw, c0), d = sync._scale_to_integers((rest, k, w, k0))
             # the best so far: d*total = best_num/best_den at cycle bp/bq
             best_t = t_now
             pn, qn = bp, bq = t_now.numerator, t_now.denominator
@@ -425,10 +396,11 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     patterns are formed — one rounding the standalone optima, one rounding
     the joint-setup relaxation targets, which share one cycle across the
     cluster of most frequent commodities — and every distinct pattern is
-    reduced to an integer multiplier profile whose common seed is then
-    optimized exactly, so the returned policy is the best seed-scaled
-    power-of-two pattern seen. `grid` must lie in 1..MAX_GRID; outside it
-    InputError is raised.
+    reduced to an integer multiplier profile. Profiles are ranked by the
+    integer A*B of cost._profile_pricer, the first seen winning ties, and
+    only the best one's common seed is optimized exactly, so the returned
+    policy is the best seed-scaled power-of-two pattern seen. `grid` must
+    lie in 1..MAX_GRID; outside it InputError is raised.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -452,34 +424,35 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
         raise InputError(f"grid must be >= 1, got {grid}")
     if grid > MAX_GRID:
         raise InputError(f"grid must be <= {MAX_GRID}, got {grid}")
+    ids = instance.ids()
     targets = _cluster_target_squares(instance)
     standalone_sqs = [c.setup / w for c, w in zip(instance.commodities, weights)]
-    target_sqs = [targets[cid] for cid in instance.ids()]
+    target_sqs = [targets[cid] for cid in ids]
+    price, d, sb = _profile_pricer(instance, cap)
+    # a repeated id keeps its last commodity's multiplier, as a profile does
+    picks = [max(i for i, other in enumerate(ids) if other == cid) for cid in ids]
     seen: set[tuple[int, ...]] = set()
-    # A*B of the best profile (it costs 2*sqrt(A*B)); the first seen wins ties
-    best: Optional[Fraction] = None
-    best_profile: Optional[dict[str, int]] = None
+    # (True, a*b, H) of the best profile, which costs 2*sqrt(A*B) with
+    # A*B = a*b / (D*SB*H); the first seen wins ties
+    best: Optional[tuple[bool, int, int]] = None
+    best_profile: Optional[tuple[int, ...]] = None
     for j in range(grid):
         step = Fraction(_grid_step(j, grid), 2 ** _GRID_BITS)
         b_j = base * step
         b_sq = b_j * b_j
-        patterns = (
-            [_pot_exponent(t_sq, b_sq) for t_sq in standalone_sqs],
-            [_pot_exponent(t_sq, b_sq) for t_sq in target_sqs],
-        )
-        for exps in patterns:
+        for sqs in (standalone_sqs, target_sqs):
+            exps = [_pot_exponent(t_sq, b_sq) for t_sq in sqs]
             m_min = min(exps)
-            ks = tuple(2 ** (m - m_min) for m in exps)
+            ks = tuple(2 ** (exps[i] - m_min) for i in picks)
             if ks in seen:
                 continue
             seen.add(ks)
-            profile = dict(zip(instance.ids(), ks))
-            a, b = seed_cost(instance, SeedProfile(profile), cap=cap)
-            ab = a * b
-            if best is None or ab < best:
-                best, best_profile = ab, profile
+            a, b, h = price(ks)
+            cand = (True, a * b, h)
+            if best is None or _scaled_lt(cand, best, d * sb):
+                best, best_profile = cand, ks
 
     assert best_profile is not None
-    refined = optimize_seed(instance, best_profile, cap=cap)
+    refined = optimize_seed(instance, dict(zip(ids, best_profile)), cap=cap)
     return SolveResult(refined.policy, refined.cost, "pot(opt-base)",
                        grid, time.perf_counter() - t0)

@@ -10,9 +10,10 @@ Each union is counted over one hyperperiod by `_kernels.union_count`: by
 inclusion-exclusion for a few series, and above that by an exact split on a
 pairwise-coprime base of the periods with inclusion-exclusion only at small
 leaves. `_int_ujr` is the integer core of every union rate: callers whose
-periods are already integers (the exhaustive scan, the roundtrip tables) call
-it directly and get the count and the hyperperiod, with no Fraction. The cap
-keeps its meaning: at most `cap` distinct series (default 20) per rate,
+periods are already integers (cost's profile pricer, the roundtrip tables)
+call it directly and get the count and the hyperperiod, with no Fraction.
+`_kernels._absorb` first drops duplicates and periods another divides. The
+cap keeps its meaning: at most `cap` distinct series (default 20) per rate,
 counted before pruning by ujr and after it by ijr; larger inputs raise
 CapExceeded and should go through ujr_enumerate.
 
@@ -105,13 +106,13 @@ def hyperperiod(families) -> Fraction:
     return Fraction(lcm(*ints), scale)
 
 
-def _scale_to_integers(periods: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Map rational periods onto integers via the denominator lcm L.
+def _scale_to_integers(rationals: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Put rationals over one common denominator, their denominator lcm L.
 
-    Returns (integer periods, L); a rational period q maps to q*L.
+    Returns (integers, L); a rational q maps to q*L.
     """
-    scale = lcm(*(t.denominator for t in periods))
-    return [t.numerator * (scale // t.denominator) for t in periods], scale
+    scale = lcm(*(q.denominator for q in rationals))
+    return [q.numerator * (scale // q.denominator) for q in rationals], scale
 
 
 def _int_families(families, what: str) -> tuple[list[list[int]], int]:
@@ -122,12 +123,6 @@ def _int_families(families, what: str) -> tuple[list[list[int]], int]:
     ints, scale = _scale_to_integers([t for fam in fams for t in fam])
     it = iter(ints)
     return [[next(it) for _ in fam] for fam in fams], scale
-
-
-def _dedup_prune(int_periods: Iterable[int]) -> list[int]:
-    # set semantics, then drop any series contained in another (p | q -> F_q subset F_p)
-    uniq = sorted(set(int_periods))
-    return [q for q in uniq if not any(q % p == 0 for p in uniq if p != q)]
 
 
 def _enumeration_hyper(ints: Sequence[int], max_points: int | None) -> int:
@@ -149,10 +144,6 @@ def _int_union(int_periods: Sequence[int], scale: int) -> tuple[int, int]:
     return _kernels.union_count(int_periods, hyper) * scale, hyper
 
 
-def _int_union_fraction(int_periods: Sequence[int], scale: int) -> Fraction:
-    return Fraction(*_int_union(int_periods, scale)) if int_periods else Fraction(0)
-
-
 def _require_ie_cap(distinct: int, cap: int | None) -> None:
     """Refuse a union of more than `cap` distinct series (counted before
     pruning)."""
@@ -170,7 +161,7 @@ def _int_ujr(distinct_ints: Collection[int], cap: int | None) -> tuple[int, int]
     count/hyper, not reduced. hyper is the lcm of the periods left after
     pruning. The cap counts the distinct periods before pruning."""
     _require_ie_cap(len(distinct_ints), cap)
-    return _int_union(_dedup_prune(distinct_ints), 1)
+    return _int_union(_kernels._absorb(distinct_ints), 1)
 
 
 def ujr(families, cap: int | None = None) -> Fraction:
@@ -200,7 +191,7 @@ def _ujr_with(others: Sequence[Fraction],
     distinct = set(others)
     below_cap = len(distinct) < (DEFAULT_IE_CAP if cap is None else cap)
     ints, l0 = _scale_to_integers(others)
-    pruned = _dedup_prune(ints)
+    pruned = _kernels._absorb(ints)
     own_rate: tuple[int, int] | None = None
 
     def rate(t: Fraction) -> tuple[int, int]:
@@ -245,15 +236,15 @@ def ijr(families, cap: int | None = None) -> Fraction:
     cap = DEFAULT_IE_CAP if cap is None else cap
     int_fams, scale = _int_families(families, "ijr")
     # absorb multiples eagerly to keep the cross product small
-    cross = _dedup_prune(int_fams[0])
+    cross = _kernels._absorb(int_fams[0])
     for fam in int_fams[1:]:
-        cross = _dedup_prune(lcm(a, b) for a in cross for b in fam)
+        cross = _kernels._absorb(lcm(a, b) for a in cross for b in fam)
     if len(cross) > cap:
         raise CapExceeded(
             f"{len(cross)} intersection series exceed the inclusion-exclusion "
             f"cap {cap}"
         )
-    return _int_union_fraction(cross, scale)
+    return Fraction(*_int_union(cross, scale)) if cross else Fraction(0)
 
 
 def ijr_enumerate(families, max_points: int | None = None) -> Fraction:

@@ -5,7 +5,8 @@ set-based epoch counting instead of inclusion-exclusion, float golden-section
 search instead of the closed form, reversed-order clause evaluation, and
 sympy's primality test. None of it imports package internals beyond types,
 except reference_descent and reference_roundtrip, which price every trial
-through the public total_cost.
+through the public total_cost, and reference_power_of_two, which ranks every
+pattern through the public seed_cost.
 """
 from __future__ import annotations
 
@@ -253,3 +254,48 @@ def reference_roundtrip(formula, constants=None, cap: int | None = None):
         scope="assignment policies at seed 1 only; the continuous policy "
               "space is out of scope",
     )
+
+
+def reference_power_of_two(instance, base: Fraction = Fraction(1),
+                           grid: int = 64, cap: int | None = None):
+    """power_of_two(optimize_base=True) ranked with Fraction coefficients.
+
+    The same grid of bases and the same two exponent patterns per base; each
+    distinct pattern's profile is priced by seed_cost and ranked by the
+    Fraction A*B, the first seen keeping a tie (a strict <). The winner's
+    seed is refined by optimize_seed. Returns (policy, cost breakdown,
+    method).
+    """
+    from jrp_forge.cost import seed_cost
+    from jrp_forge.model import SeedProfile
+    from jrp_forge.solve import (
+        _GRID_BITS,
+        _cluster_target_squares,
+        _grid_step,
+        _pot_exponent,
+        optimize_seed,
+    )
+
+    ids = instance.ids()
+    targets = _cluster_target_squares(instance)
+    standalone_sqs = [c.setup / (c.demand * c.holding / 2)
+                      for c in instance.commodities]
+    target_sqs = [targets[cid] for cid in ids]
+    seen: set[tuple[int, ...]] = set()
+    best: Fraction | None = None
+    best_profile: dict[str, int] | None = None
+    for j in range(grid):
+        b_j = Fraction(base) * Fraction(_grid_step(j, grid), 2 ** _GRID_BITS)
+        for sqs in (standalone_sqs, target_sqs):
+            exps = [_pot_exponent(t_sq, b_j * b_j) for t_sq in sqs]
+            ks = tuple(2 ** (m - min(exps)) for m in exps)
+            if ks in seen:
+                continue
+            seen.add(ks)
+            profile = dict(zip(ids, ks))
+            a, b = seed_cost(instance, SeedProfile(profile), cap=cap)
+            if best is None or a * b < best:
+                best, best_profile = a * b, profile
+    assert best_profile is not None
+    refined = optimize_seed(instance, best_profile, cap=cap)
+    return refined.policy, refined.cost, "pot(opt-base)"

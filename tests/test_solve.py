@@ -25,7 +25,7 @@ from jrp_forge.solve import (
     power_of_two,
 )
 
-from .oracles import exhaustive_argmin, reference_descent
+from .oracles import exhaustive_argmin, reference_descent, reference_power_of_two
 
 F = Fraction
 
@@ -296,6 +296,21 @@ def test_coordinate_descent_explicit_start():
     assert res.method == "descent"
 
 
+def test_coordinate_descent_int_start_matches_fraction_start():
+    # int cycles are taken as Fractions, so the candidates stay rational
+    inst = trio()
+    for cycles in ({"c0": 2, "c1": 3, "c2": 5}, {"c0": 1, "c1": 4, "c2": 4}):
+        ints = Policy(cycles)
+        fracs = Policy({cid: F(t) for cid, t in cycles.items()})
+        cands = default_candidates(inst, ints, "c0")
+        assert all(type(t) is F for t in cands)
+        assert cands == default_candidates(inst, fracs, "c0")
+        got = coordinate_descent(inst, start=ints)
+        want = coordinate_descent(inst, start=fracs)
+        assert (got.policy, got.cost, got.nodes_explored) \
+            == (want.policy, want.cost, want.nodes_explored)
+
+
 def test_coordinate_descent_custom_candidates():
     inst = single()
     res = coordinate_descent(
@@ -539,6 +554,48 @@ def test_power_of_two_optimized_base_near_global():
     assert pot.method == "pot(opt-base)"
     ratio = float(pot.cost.total) / float(free.cost.total)
     assert 1.0 - 1e-12 <= ratio <= 1.06
+
+
+def test_power_of_two_matches_fraction_reference():
+    # the integer pricer ranks every pattern as seed_cost's Fraction A*B
+    # does, ties to the first seen, so policy, cost and method all agree
+    rng = random.Random(20261019)
+    winners = set()
+    for i in range(198):
+        n = rng.randint(1, 8)
+        if i % 2:
+            inst = _random_instance(rng, n)
+        else:   # rational K0, setups and holding costs: D, SB > 1
+            # every tenth repeats ids c0, c1, c0, ...; a profile keeps the
+            # multiplier of an id's last commodity
+            ids = [f"c{j % 2}" if i % 10 == 0 else f"c{j}" for j in range(n)]
+            inst = Instance(tuple(
+                Commodity(ids[j], F(rng.randint(1, 8)),
+                          F(rng.randint(1, 30), rng.randint(1, 8)),
+                          F(rng.randint(1, 100), rng.randint(1, 4)))
+                for j in range(n)), F(rng.randint(1, 50), rng.randint(1, 3)))
+        grid = (1, 7, 64)[i % 3]
+        base = rng.choice((F(1), F(1), F(3, 2), F(5, 7)))
+        res = power_of_two(inst, base=base, optimize_base=True, grid=grid)
+        want = reference_power_of_two(inst, base=base, grid=grid)
+        assert (res.policy, res.cost, res.method) == want, (i, grid)
+        winners.add(tuple(sorted(set(res.policy.cycles.values()))))
+    assert len(winners) > 150
+
+
+def test_power_of_two_exact_tie_keeps_first_pattern():
+    # at base 1 the standalone pattern (2, 1, 4) comes before the cluster
+    # pattern (1, 1, 2); both cost exactly 20 with different policies
+    inst = Instance((Commodity("c0", F(1), F(4), F(11)),
+                     Commodity("c1", F(1), F(4), F(4)),
+                     Commodity("c2", F(1), F(1), F(8))), F(1))
+    first, second = (optimize_seed(inst, dict(zip(inst.ids(), ks)))
+                     for ks in ((2, 1, 4), (1, 1, 2)))
+    assert first.cost.total == second.cost.total == 20
+    assert first.policy != second.policy
+    for grid in (1, 8):
+        res = power_of_two(inst, optimize_base=True, grid=grid)
+        assert (res.policy, res.cost) == (first.policy, first.cost)
 
 
 def test_power_of_two_ujr_is_min_cycle():
