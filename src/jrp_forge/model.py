@@ -42,6 +42,18 @@ class Instance:
     joint_setup: Fraction                      # K_0
     meta: Optional[Mapping[str, object]] = None
 
+    def __post_init__(self) -> None:
+        # a policy maps each id to one cycle, so a repeated id could not be
+        # given the cycles its commodities are priced at
+        seen: set[str] = set()
+        findings = []
+        for c in self.commodities:
+            if c.id in seen:
+                findings.append(f"duplicate commodity id {c.id!r}")
+            seen.add(c.id)
+        if findings:
+            raise InputError("; ".join(findings))
+
     def commodity(self, cid: str) -> Commodity:
         for c in self.commodities:
             if c.id == cid:
@@ -81,11 +93,7 @@ class ValidationReport:
 def validate_instance(instance: Instance) -> ValidationReport:
     """Collect every violated invariant; an empty report means valid."""
     findings: list[str] = []
-    seen: set[str] = set()
     for c in instance.commodities:
-        if c.id in seen:
-            findings.append(f"duplicate commodity id {c.id!r}")
-        seen.add(c.id)
         if c.demand <= 0:
             findings.append(f"commodity {c.id!r}: demand must be > 0, got {c.demand}")
         if c.holding <= 0:

@@ -7,7 +7,9 @@ exhaustive_search and power_of_two rank profiles by the plain integers of
 cost._profile_pricer: a*b over each profile's hyperperiod lcm(ks), with no
 Fraction and no square root until the winning seed is refined. power_of_two
 rounds to exponents by integer bit lengths and builds its base grid from
-exact integer roots.
+exact integer roots. Across the octave of grid bases each exponent falls at
+most once, so it is rounded once and the step where it falls is found by
+bisection: O(n log grid) integer work plus one pricing per distinct pattern.
 coordinate_descent prices each trial move incrementally and in plain
 integers: only the moved cycle's standalone cost and the union rate change,
 the other cycles are scaled and pruned once per commodity, and each trial
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -261,16 +264,13 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
     policy = start if start is not None else _default_start(instance)
     current = total_cost(instance, policy, cap=cap)
     k0 = instance.joint_setup
-    # g summed over the commodities sharing an id: K/t + w*t
-    setup_weight: dict[str, tuple[Fraction, Fraction]] = {}
-    for c in instance.commodities:
-        k, w = setup_weight.get(c.id, (Fraction(0), Fraction(0)))
-        setup_weight[c.id] = (k + c.setup, w + c.demand * c.holding / 2)
+    # each commodity's g(t) = K/t + w*t
+    setup_weight = [(c.id, c.setup, c.demand * c.holding / 2)
+                    for c in instance.commodities]
     nodes = 1
     for _ in range(max_rounds):
         improved = False
-        for cid in instance.ids():
-            k, w = setup_weight[cid]
+        for cid, k, w in setup_weight:
             t_now = policy.cycle(cid)
             rest = current.standalone_total - (k / t_now + w * t_now)
             rate = sync._ujr_with([policy.cycle(c.id) for c in instance.commodities
@@ -333,7 +333,8 @@ def _pot_exponent(t_sq: Fraction, base_sq: Fraction) -> int:
 
 _GRID_BITS = 24     # power_of_two's base grid steps are multiples of 2^-24
 # _grid_step raises a 26-bit integer to the grid-th power for every step, so
-# the base table costs more than linearly in the grid
+# the base table costs more than linearly in the grid; at 1024 steps it is
+# nearly all of a solve's time
 MAX_GRID = 1024
 
 
@@ -353,6 +354,33 @@ def _grid_step(j: int, grid: int) -> int:
     while ((2 * x - 1) ** grid).bit_length() > k:
         x -= 1
     return x
+
+
+def _exponent_falls(t_sqs: Iterable[Fraction], base_sq: Fraction,
+                    step_sqs: list[int]) -> list[tuple[int, int]]:
+    """(m0, fall) per target: its exponent over one octave of grid bases.
+
+    With S_j = step_sqs[j] increasing from S_0 = 2^48 and S_j/S_0 < 4, the
+    grid base b_j = base*sqrt(S_j)/2^24 has b_j^2 = base^2*S_j/2^48. The
+    exponent _pot_exponent(t^2, b_j^2) is m0 at every step j < fall and
+    m0 - 1 from step fall on; fall = len(step_sqs) when it never falls. It
+    is the smallest m with p*2^48 <= q*S_j*2*4^m (t^2/base^2 = p/q), so it
+    is below m0 exactly where S_j >= p*2^48 / (q*2^(2*m0 - 1)), and
+    S_j < 4*S_0 keeps it above m0 - 2.
+    """
+    out = []
+    for t_sq in t_sqs:
+        p = t_sq.numerator * base_sq.denominator
+        q = t_sq.denominator * base_sq.numerator
+        m0 = _ceil_log2(p, q) // 2
+        shift = 2 * _GRID_BITS - (2 * m0 - 1)
+        # the least integer S_j at which the exponent is below m0
+        if shift >= 0:
+            threshold = -(-(p << shift) // q)
+        else:
+            threshold = -(-p // (q << -shift))
+        out.append((m0, bisect_left(step_sqs, threshold)))
+    return out
 
 
 def _cluster_target_squares(instance: Instance) -> dict[str, Fraction]:
@@ -401,6 +429,14 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     only the best one's common seed is optimized exactly, so the returned
     policy is the best seed-scaled power-of-two pattern seen. `grid` must
     lie in 1..MAX_GRID; outside it InputError is raised.
+
+    The bases are swept, not re-rounded: as the base rises through the
+    octave each exponent falls at most once, at a step _exponent_falls
+    finds by one bisection over the squared grid steps. A pattern is rebuilt
+    and priced only at the first base and where one of its exponents falls;
+    at every other base it repeats the pattern before it, which is already
+    seen. That is O(n log grid) integer work, at most 2n + 2 patterns priced
+    and the exact root table of the grid.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -428,22 +464,32 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     targets = _cluster_target_squares(instance)
     standalone_sqs = [c.setup / w for c, w in zip(instance.commodities, weights)]
     target_sqs = [targets[cid] for cid in ids]
+    step_sqs = [_grid_step(j, grid) ** 2 for j in range(grid)]
+    # per list: the exponents at j = 0, and the commodities whose exponent
+    # falls by one at each later step j
+    sweeps = []
+    for sqs in (standalone_sqs, target_sqs):
+        exps, falls = [], {}
+        for i, (m0, j) in enumerate(_exponent_falls(sqs, base * base, step_sqs)):
+            exps.append(m0)
+            falls.setdefault(j, []).append(i)
+        sweeps.append((exps, falls))
     price, d, sb = _profile_pricer(instance, cap)
-    # a repeated id keeps its last commodity's multiplier, as a profile does
-    picks = [max(i for i, other in enumerate(ids) if other == cid) for cid in ids]
     seen: set[tuple[int, ...]] = set()
     # (True, a*b, H) of the best profile, which costs 2*sqrt(A*B) with
     # A*B = a*b / (D*SB*H); the first seen wins ties
     best: Optional[tuple[bool, int, int]] = None
     best_profile: Optional[tuple[int, ...]] = None
     for j in range(grid):
-        step = Fraction(_grid_step(j, grid), 2 ** _GRID_BITS)
-        b_j = base * step
-        b_sq = b_j * b_j
-        for sqs in (standalone_sqs, target_sqs):
-            exps = [_pot_exponent(t_sq, b_sq) for t_sq in sqs]
+        for exps, falls in sweeps:
+            if j:
+                fallen = falls.get(j)
+                if fallen is None:      # step j-1's pattern, already seen
+                    continue
+                for i in fallen:
+                    exps[i] -= 1
             m_min = min(exps)
-            ks = tuple(2 ** (exps[i] - m_min) for i in picks)
+            ks = tuple(1 << (m - m_min) for m in exps)
             if ks in seen:
                 continue
             seen.add(ks)

@@ -106,15 +106,24 @@ def test_validate_instance_findings():
     inst = Instance(
         commodities=(
             Commodity("a", F(0), F(1), F(1)),
-            Commodity("a", F(1), F(-1), F(1)),
+            Commodity("b", F(1), F(-1), F(1)),
         ),
         joint_setup=F(0),
     )
     report = validate_instance(inst)
     assert not report.ok
     text = "; ".join(report.findings)
-    assert "duplicate" in text and "demand" in text and "holding" in text
-    assert "joint_setup" in text
+    assert "demand" in text and "holding" in text and "joint_setup" in text
+    # a repeated id is refused when the instance is built, and a document
+    # that repeats ids is refused with one finding per repeat
+    with pytest.raises(InputError, match=r"^duplicate commodity id 'a'$"):
+        Instance((Commodity("a", F(1), F(1), F(1)),) * 2, F(1))
+    doc = {"k0": "1", "commodities": [
+        {"id": cid, "lambda": "1", "h": "1", "k": "1"} for cid in "abab"]}
+    with pytest.raises(InputError) as exc:
+        load_instance(json.dumps(doc))
+    assert str(exc.value) == ("duplicate commodity id 'a'; "
+                              "duplicate commodity id 'b'")
 
 
 def test_validate_policy_both_directions():

@@ -15,7 +15,9 @@ from jrp_forge.cost import total_cost
 from jrp_forge.eoq import optimal_cycle, sqrt_fraction, standalone_cost
 from jrp_forge.model import Commodity, InputError, Instance, Policy, SeedProfile
 from jrp_forge.solve import (
+    _GRID_BITS,
     MAX_GRID,
+    _exponent_falls,
     _grid_step,
     _pot_exponent,
     coordinate_descent,
@@ -561,26 +563,119 @@ def test_power_of_two_matches_fraction_reference():
     # does, ties to the first seen, so policy, cost and method all agree
     rng = random.Random(20261019)
     winners = set()
+    refused = 0
     for i in range(198):
         n = rng.randint(1, 8)
         if i % 2:
             inst = _random_instance(rng, n)
         else:   # rational K0, setups and holding costs: D, SB > 1
-            # every tenth repeats ids c0, c1, c0, ...; a profile keeps the
-            # multiplier of an id's last commodity
+            # every tenth repeats ids c0, c1, c0, ...
             ids = [f"c{j % 2}" if i % 10 == 0 else f"c{j}" for j in range(n)]
-            inst = Instance(tuple(
+            commodities = tuple(
                 Commodity(ids[j], F(rng.randint(1, 8)),
                           F(rng.randint(1, 30), rng.randint(1, 8)),
                           F(rng.randint(1, 100), rng.randint(1, 4)))
-                for j in range(n)), F(rng.randint(1, 50), rng.randint(1, 3)))
+                for j in range(n))
+            k0 = F(rng.randint(1, 50), rng.randint(1, 3))
+            inst = None
+            if len(set(ids)) < n:   # refused when built
+                with pytest.raises(InputError, match="duplicate commodity id 'c0'"):
+                    Instance(commodities, k0)
+            else:
+                inst = Instance(commodities, k0)
         grid = (1, 7, 64)[i % 3]
         base = rng.choice((F(1), F(1), F(3, 2), F(5, 7)))
+        if inst is None:
+            refused += 1
+            continue
         res = power_of_two(inst, base=base, optimize_base=True, grid=grid)
         want = reference_power_of_two(inst, base=base, grid=grid)
         assert (res.policy, res.cost, res.method) == want, (i, grid)
         winners.add(tuple(sorted(set(res.policy.cycles.values()))))
-    assert len(winners) > 150
+    assert refused > 10 and len(winners) > 150
+
+
+def test_power_of_two_sweep_matches_reference():
+    # the event sweep forms the patterns that rounding every target at every
+    # base forms, in the same order, on grids and bases of every kind
+    rng = random.Random(20261020)
+    bases = (F(1), F(3, 2), F(5, 7), F(1, 3), F(7))
+    cases = [(n, grid) for n in range(1, 25) for grid in (1, 2, 3, 7, 64, 100)]
+    cases += [(n, MAX_GRID) for n in (1, 6, 24)]
+    for case, (n, grid) in enumerate(cases):
+        if case % 3 == 0:
+            inst = _random_instance(rng, n)
+        else:   # standalone optima several octaves apart
+            inst = Instance(tuple(
+                Commodity(f"c{j}", F(rng.randint(1, 8)),
+                          F(rng.randint(1, 30), rng.randint(1, 8)),
+                          F(rng.randint(1, 10 ** rng.randint(1, 5)),
+                            rng.randint(1, 4)))
+                for j in range(n)), F(rng.randint(1, 50), rng.randint(1, 3)))
+        base = bases[case % len(bases)]
+        res = power_of_two(inst, base=base, optimize_base=True, grid=grid)
+        policy, cost, method = reference_power_of_two(inst, base=base, grid=grid)
+        assert (res.cost, res.method, res.nodes_explored) == (cost, method, grid)
+        assert [(cid, type(t), t) for cid, t in res.policy.cycles.items()] \
+            == [(cid, type(t), t) for cid, t in policy.cycles.items()], case
+
+
+def _grid_sq(base: Fraction, step_sq: int) -> Fraction:
+    return base * base * F(step_sq, 2 ** (2 * _GRID_BITS))
+
+
+def test_exponent_falls_at_its_exact_threshold():
+    rng = random.Random(7)
+    for grid in (2, 3, 7, 64, 100):
+        step_sqs = [_grid_step(j, grid) ** 2 for j in range(grid)]
+        for m in range(-30, 31, 3):     # 2*m0 - 1 on both sides of 48
+            base = rng.choice((F(1), F(3, 2), F(5, 7), F(7)))
+            j = rng.randint(1, grid - 1)
+            # t^2 = 2*4^m*b_j^2: the exponent is m at b_j and m + 1 below it
+            exact = 2 * F(4) ** m * _grid_sq(base, step_sqs[j])
+            # t^2 just above and just below that at b_j, by half a unit of S_j
+            above = exact * F(2 * step_sqs[j] + 1, 2 * step_sqs[j])
+            below = exact * F(2 * step_sqs[j] - 1, 2 * step_sqs[j])
+            got = _exponent_falls([exact, above, below], base * base, step_sqs)
+            assert got == [(m + 1, j), (m + 1, j + 1), (m + 1, j)], (grid, m, j)
+            for t_sq, (m0, fall) in zip((exact, above, below), got):
+                for i in (j - 1, j, min(j + 1, grid - 1)):
+                    assert _pot_exponent(t_sq, _grid_sq(base, step_sqs[i])) \
+                        == m0 - (i >= fall)
+
+
+def test_pot_exponent_falls_at_most_once_per_octave():
+    rng = random.Random(11)
+    for _ in range(60):
+        grid = rng.randint(1, 256)
+        base = F(rng.randint(1, 50), rng.randint(1, 50))
+        step_sqs = [_grid_step(j, grid) ** 2 for j in range(grid)]
+        t_sqs = [F(rng.randint(1, 10 ** rng.randint(1, 12)),
+                   rng.randint(1, 10 ** rng.randint(1, 12))) for _ in range(4)]
+        falls = _exponent_falls(t_sqs, base * base, step_sqs)
+        for t_sq, (m0, fall) in zip(t_sqs, falls):
+            exps = [_pot_exponent(t_sq, _grid_sq(base, s)) for s in step_sqs]
+            # never rises, falls by at most one across the octave
+            assert all(0 <= a - b <= 1 for a, b in zip(exps, exps[1:]))
+            assert exps[0] - exps[-1] <= 1
+            assert exps == [m0 - (j >= fall) for j in range(grid)]
+
+
+def test_repeated_id_is_refused_before_any_solve():
+    # ids a, a, b: a policy gives a one cycle, so no profile of the scan
+    # could be realised; every such instance is refused when it is built
+    rng = random.Random(20261019)
+    for _ in range(200):
+        commodities = tuple(
+            Commodity(cid, F(rng.randint(1, 8)),
+                      F(rng.randint(1, 30), rng.randint(1, 8)),
+                      F(rng.randint(1, 100), rng.randint(1, 4)))
+            for cid in ("a", "a", "b"))
+        result = None
+        with pytest.raises(InputError, match=r"^duplicate commodity id 'a'$"):
+            result = exhaustive_search(Instance(commodities, F(rng.randint(1, 50))),
+                                       (1, 4))
+        assert result is None
 
 
 def test_power_of_two_exact_tie_keeps_first_pattern():
