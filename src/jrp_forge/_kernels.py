@@ -78,8 +78,10 @@ def _split_count(ps, hyper):
     return hyper - missed * (hyper // own)
 
 
-def _absorb(ps):
-    """Sorted distinct periods that no other period divides."""
+def _absorb(ps, limit=None):
+    """Sorted distinct periods that no other period divides; with a limit,
+    only the first limit + 1 of them, so a set past the limit costs at most
+    limit + 1 divisibility tests per period."""
     kept = []
     for q in sorted(set(ps)):
         for p in kept:
@@ -87,6 +89,8 @@ def _absorb(ps):
                 break
         else:
             kept.append(q)
+            if limit is not None and len(kept) > limit:
+                break
     return kept
 
 

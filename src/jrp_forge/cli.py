@@ -438,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--digits", type=int, default=12,
                        help="decimal digits in rendered columns")
         p.add_argument("--cap", type=int, default=None,
-                       help="distinct-series cap for union-rate expansion")
+                       help="cap on the series a union rate counts, after "
+                            "dropping those another series divides")
 
     p_eval = sub.add_parser("eval", help="evaluate a policy's exact cost")
     p_eval.add_argument("instance")

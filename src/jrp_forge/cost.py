@@ -167,7 +167,8 @@ def _profile_pricer(instance: Instance, cap: int | None):
     (a, b, H) for multipliers ks in commodity order. The joint term of a is
     K0*D times the union count of sync's integer core, scaled from the
     core's hyperperiod up to H, computed once per distinct set of
-    multipliers; its cap check is the one ujr makes.
+    multipliers; as in ujr, the cap counts the multipliers left after the
+    core prunes those another divides.
     """
     (k0_int, *setup_ints), d = sync._scale_to_integers(
         [instance.joint_setup, *(c.setup for c in instance.commodities)])

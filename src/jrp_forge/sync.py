@@ -13,9 +13,10 @@ leaves. `_int_ujr` is the integer core of every union rate: callers whose
 periods are already integers (cost's profile pricer, the roundtrip tables)
 call it directly and get the count and the hyperperiod, with no Fraction.
 `_kernels._absorb` first drops duplicates and periods another divides. The
-cap keeps its meaning: at most `cap` distinct series (default 20) per rate,
-counted before pruning by ujr and after it by ijr; larger inputs raise
-CapExceeded and should go through ujr_enumerate.
+cap bounds the series the kernel counts: at most `cap` (default 20) per
+rate, counted after that prune, for ujr and ijr alike. `_int_union` is the
+one place that refuses; larger inputs raise CapExceeded and should go
+through ujr_enumerate.
 
 A period is an int, a Fraction, or any value Fraction() accepts, a string
 included; a collection of periods is any other iterable, and so is a
@@ -137,31 +138,29 @@ def _enumeration_hyper(ints: Sequence[int], max_points: int | None) -> int:
     return hyper
 
 
-def _int_union(int_periods: Sequence[int], scale: int) -> tuple[int, int]:
+def _int_union(int_periods: Sequence[int], scale: int,
+               cap: int | None) -> tuple[int, int]:
     """(count*scale, hyper): the union rate of non-empty pruned integer
-    periods over the scale L, not reduced; hyper is their lcm."""
+    periods over the scale L, not reduced; hyper is their lcm. Refuses more
+    than `cap` periods."""
+    cap = DEFAULT_IE_CAP if cap is None else cap
+    if len(int_periods) > cap:
+        raise CapExceeded(
+            f"more than {cap} series remain after pruning (the "
+            f"inclusion-exclusion cap); use ujr_enumerate or raise the cap"
+        )
     hyper = lcm(*int_periods)
     return _kernels.union_count(int_periods, hyper) * scale, hyper
-
-
-def _require_ie_cap(distinct: int, cap: int | None) -> None:
-    """Refuse a union of more than `cap` distinct series (counted before
-    pruning)."""
-    cap = DEFAULT_IE_CAP if cap is None else cap
-    if distinct > cap:
-        raise CapExceeded(
-            f"{distinct} distinct series exceed the inclusion-exclusion cap "
-            f"{cap}; use ujr_enumerate or raise the cap"
-        )
 
 
 def _int_ujr(distinct_ints: Collection[int], cap: int | None) -> tuple[int, int]:
     """(count, hyper) for distinct positive integer periods: the union of
     their multiples holds `count` epochs in (0, hyper], so the union rate is
     count/hyper, not reduced. hyper is the lcm of the periods left after
-    pruning. The cap counts the distinct periods before pruning."""
-    _require_ie_cap(len(distinct_ints), cap)
-    return _int_union(_kernels._absorb(distinct_ints), 1)
+    pruning. The prune stops past the cap, so an input over it costs at
+    most cap+1 divisibility tests per period."""
+    cap = DEFAULT_IE_CAP if cap is None else cap
+    return _int_union(_kernels._absorb(distinct_ints, cap), 1, cap)
 
 
 def ujr(families, cap: int | None = None) -> Fraction:
@@ -184,20 +183,15 @@ def _ujr_with(others: Sequence[Fraction],
     The others are scaled to integers over their denominator lcm L0 and
     pruned once. A candidate t = p/q rescales them to lcm(L0, q): when an
     other divides t the union is the others' own rate, otherwise the others
-    that t divides drop out and t joins the rest. The cap counts distinct
-    series before pruning, as ujr does; below the cap no single t can pass
-    it, so t is not looked up.
+    that t divides drop out and t joins the rest. The cap counts the series
+    left after that prune, as ujr does.
     """
-    distinct = set(others)
-    below_cap = len(distinct) < (DEFAULT_IE_CAP if cap is None else cap)
     ints, l0 = _scale_to_integers(others)
     pruned = _kernels._absorb(ints)
     own_rate: tuple[int, int] | None = None
 
     def rate(t: Fraction) -> tuple[int, int]:
         nonlocal own_rate
-        if not below_cap:
-            _require_ie_cap(len(distinct) + (t not in distinct), cap)
         scale = lcm(l0, t.denominator)
         up = scale // l0
         tp = t.numerator * (scale // t.denominator)
@@ -206,12 +200,12 @@ def _ujr_with(others: Sequence[Fraction],
             b *= up
             if tp % b == 0:
                 if own_rate is None:
-                    own_rate = _int_union(pruned, l0)
+                    own_rate = _int_union(pruned, l0, cap)
                 return own_rate
             if b % tp:
                 kept.append(b)
         insort(kept, tp)
-        return _int_union(kept, scale)
+        return _int_union(kept, scale, cap)
 
     return rate
 
@@ -230,21 +224,14 @@ def ijr(families, cap: int | None = None) -> Fraction:
 
     The intersection of unions expands to a union over one series per
     family, each with period lcm(choice); the expansion is deduplicated and
-    absorbed before counting. The cap applies to the series that remain
-    after absorption.
+    absorbed before counting, and the cap counts what remains, as in ujr.
     """
-    cap = DEFAULT_IE_CAP if cap is None else cap
     int_fams, scale = _int_families(families, "ijr")
     # absorb multiples eagerly to keep the cross product small
     cross = _kernels._absorb(int_fams[0])
     for fam in int_fams[1:]:
         cross = _kernels._absorb(lcm(a, b) for a in cross for b in fam)
-    if len(cross) > cap:
-        raise CapExceeded(
-            f"{len(cross)} intersection series exceed the inclusion-exclusion "
-            f"cap {cap}"
-        )
-    return Fraction(*_int_union(cross, scale)) if cross else Fraction(0)
+    return Fraction(*_int_union(cross, scale, cap)) if cross else Fraction(0)
 
 
 def ijr_enumerate(families, max_points: int | None = None) -> Fraction:

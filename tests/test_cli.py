@@ -279,6 +279,20 @@ def test_check_lemmas(capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("n", [7, 10])
+def test_check_lemmas_past_twenty_series(capsys, n):
+    # 2n anchors and n variables are 3n > 20 series, but each variable's
+    # prime divides one of its anchors, so 2n <= 20 reach the kernel and
+    # the cap refuses no row; the gap-margin rows are left to the
+    # calibration of alpha_v_bar
+    rc, out, _ = run(capsys, "check", "--suite", "lemmas", "--n", str(n))
+    doc = json.loads(out)
+    assert rc == (0 if doc["passed"] else 1)
+    margins = [c for c in doc["checks"] if c["name"].startswith("gap-margin")]
+    assert len(margins) == 3
+    assert all(c["pass"] for c in doc["checks"] if c not in margins)
+
+
 def test_check_roundtrip_default_corpus(capsys):
     rc, out, _ = run(capsys, "check", "--suite", "roundtrip")
     assert rc == 0

@@ -22,7 +22,7 @@ from jrp_forge.model import (
 )
 from jrp_forge.reduction import ReductionConstants, assignment_to_policy, reduce_formula
 from jrp_forge.sat import CnfFormula
-from jrp_forge.sync import CapExceeded
+from jrp_forge.sync import CapExceeded, ujr
 
 from .oracles import enum_union_rate
 
@@ -151,18 +151,23 @@ def test_seed_cost_validates():
         seed_cost(Instance((), F(1)), SeedProfile({}))
 
 
-def test_seed_cost_cap_counts_distinct_multipliers():
-    # three commodities at two distinct multipliers pass a cap of 2; three
-    # distinct multipliers are refused with the message ujr gives
+def test_seed_cost_cap_counts_pruned_multipliers():
+    # three distinct multipliers of which one absorbs the others pass a cap
+    # of 1, and two left after the prune pass a cap of 2; three pairwise
+    # non-dividing multipliers are refused with the message ujr gives
     cs = tuple(Commodity(f"c{i}", F(1), F(1), F(1)) for i in range(3))
     inst = Instance(cs, F(1))
-    a, b = seed_cost(inst, SeedProfile({"c0": 2, "c1": 3, "c2": 2}), cap=2)
-    assert (a, b) == (F(1, 2) + F(1, 3) + F(1, 2) + F(2, 3), F(7, 2))
+    a, b = seed_cost(inst, SeedProfile({"c0": 2, "c1": 4, "c2": 8}), cap=1)
+    assert (a, b) == (F(1, 2) + F(1, 4) + F(1, 8) + F(1, 2), F(7))
+    a, b = seed_cost(inst, SeedProfile({"c0": 2, "c1": 3, "c2": 6}), cap=2)
+    assert (a, b) == (F(1, 2) + F(1, 3) + F(1, 6) + F(2, 3), F(11, 2))
+    with pytest.raises(CapExceeded) as want:
+        ujr([2, 3, 5], cap=2)
     with pytest.raises(CapExceeded) as exc:
         seed_cost(inst, SeedProfile({"c0": 2, "c1": 3, "c2": 5}), cap=2)
-    assert str(exc.value) == (
-        "3 distinct series exceed the inclusion-exclusion cap 2; "
-        "use ujr_enumerate or raise the cap")
+    assert str(exc.value) == str(want.value) == (
+        "more than 2 series remain after pruning (the inclusion-exclusion "
+        "cap); use ujr_enumerate or raise the cap")
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -1,14 +1,14 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrp_forge import reduction
+from jrp_forge import _kernels, reduction
 from jrp_forge.cost import decompose, total_cost
 from jrp_forge.eoq import theta_pair
 from jrp_forge.model import CommodityKind, InputError
@@ -537,14 +537,19 @@ def test_roundtrip_custom_constants_match_reference_scan(n, constants):
 def test_roundtrip_cap_refuses_like_reference_scan(monkeypatch):
     formula = CnfFormula(4, ((1, 2, 3), (-1, 2, 4), (1, -3, -4)))
     out = reduce_formula(formula)
-    distinct = len(set(out.anchor_targets.values())) + formula.n_vars
-    assert distinct == 3 * 4 + 3
-    assert verify_roundtrip(formula, cap=distinct) \
-        == reference_roundtrip(formula, cap=distinct)
+    # the cap counts each assignment's periods after the prune
+    primes = [(p.low, p.high) for p in out.pairs]
+    fixed = list(out.anchor_targets.values())
+    most = max(len(_kernels._absorb(
+        fixed + [pair[v] for pair, v in zip(primes, assignment)]))
+        for assignment in product((0, 1), repeat=formula.n_vars))
+    assert most < len(set(out.anchor_targets.values())) + formula.n_vars
+    assert verify_roundtrip(formula, cap=most) \
+        == reference_roundtrip(formula, cap=most)
     with pytest.raises(CapExceeded) as ours:
-        verify_roundtrip(formula, cap=distinct - 1)
+        verify_roundtrip(formula, cap=most - 1)
     with pytest.raises(CapExceeded) as reference:
-        reference_roundtrip(formula, cap=distinct - 1)
+        reference_roundtrip(formula, cap=most - 1)
     assert type(ours.value) is type(reference.value)
     assert str(ours.value) == str(reference.value)
     # the tables refuse on their own count, before any row is re-priced
@@ -552,8 +557,31 @@ def test_roundtrip_cap_refuses_like_reference_scan(monkeypatch):
         raise AssertionError("re-priced a row the tables should have refused")
 
     monkeypatch.setattr(reduction, "total_cost", no_repricing)
-    with pytest.raises(CapExceeded, match=str(distinct)):
-        verify_roundtrip(formula, cap=distinct - 1)
+    with pytest.raises(CapExceeded) as ours:
+        verify_roundtrip(formula, cap=most - 1)
+    assert str(ours.value) == str(reference.value)
+
+
+def _distinct_3cnf(rng, n, m):
+    """m distinct random 3-clauses over n variables, as the benchmark's
+    probe draws them."""
+    every = [tuple(s * v for s, v in zip(signs, vs))
+             for vs in combinations(range(1, n + 1), 3)
+             for signs in product((1, -1), repeat=3)]
+    return tuple(rng.sample(every, m))
+
+
+def test_roundtrip_past_twenty_series_matches_reference_scan():
+    # 3n + m > 20 series before the prune. A chosen prime absorbs its own
+    # anchor and every clause target it divides, and an assignment leaves
+    # at most one distinct clause per triple of variables unsynchronized,
+    # so at most 2n + C(n, 3) <= 20 series reach the kernel
+    rng = random.Random(20261019)
+    sizes = [(n, total - 3 * n) for n in (4, 5) for total in range(21, 26)]
+    for n, m in sizes:
+        formula = CnfFormula(n, _distinct_3cnf(rng, n, m))
+        assert len(set(formula.clauses)) == m
+        assert verify_roundtrip(formula) == reference_roundtrip(formula), (n, m)
 
 
 @pytest.mark.parametrize("n, clauses", [

@@ -126,14 +126,25 @@ def quartet():
     return trio((F(8), F(18), F(50), F(32)))
 
 
-def test_exhaustive_cap_counts_distinct_multipliers():
-    # the first profile with four distinct multipliers is refused, with the
-    # message ujr gives
+def test_exhaustive_cap_counts_pruned_multipliers():
+    # no three multipliers in 1..4 are pairwise non-dividing, so a cap of 2
+    # answers profiles such as (1, 2, 3, 4) with four distinct multipliers
+    capped = exhaustive_search(quartet(), (1, 4), cap=2)
+    free = exhaustive_search(quartet(), (1, 4))
+    assert (capped.policy, capped.cost) == (free.policy, free.cost)
+    # in 1..8 the first profile of four pairwise non-dividing multipliers,
+    # (2, 3, 5, 7), is refused at a cap of 3 with the message ujr gives; no
+    # five exist there, so a cap of 4 answers every profile
+    with pytest.raises(sync.CapExceeded) as from_ujr:
+        sync.ujr([2, 3, 5, 7], cap=3)
     with pytest.raises(sync.CapExceeded) as exc:
         exhaustive_search(quartet(), (1, 8), cap=3)
-    assert str(exc.value) == (
-        "4 distinct series exceed the inclusion-exclusion cap 3; "
-        "use ujr_enumerate or raise the cap")
+    assert str(exc.value) == str(from_ujr.value) == (
+        "more than 3 series remain after pruning (the inclusion-exclusion "
+        "cap); use ujr_enumerate or raise the cap")
+    capped = exhaustive_search(quartet(), (1, 8), cap=4)
+    free = exhaustive_search(quartet(), (1, 8))
+    assert (capped.policy, capped.cost) == (free.policy, free.cost)
 
 
 def test_exhaustive_counts_each_multiplier_set_once(monkeypatch):
@@ -383,8 +394,8 @@ def test_descent_matches_total_cost_reference():
 
 def test_descent_cap_refusal_matches_ujr():
     inst = trio()
-    # the start policy alone holds 2 distinct cycles
-    start = Policy({"c0": F(1), "c1": F(2), "c2": F(2)})
+    # the start policy alone holds 2 series after pruning
+    start = Policy({"c0": F(2), "c1": F(3), "c2": F(3)})
     with pytest.raises(sync.CapExceeded) as from_ujr:
         sync.ujr(list(start.cycles.values()), cap=1)
     with pytest.raises(sync.CapExceeded) as from_descent:
@@ -392,12 +403,12 @@ def test_descent_cap_refusal_matches_ujr():
     assert str(from_descent.value) == str(from_ujr.value)
 
     # within the cap at the start; only c1 has a candidate, a new third
-    # distinct series (its own cycle 2 stays with c2) too costly to accept,
-    # so only the trial itself can refuse it
+    # series (its own cycle 3 stays with c2) too costly to accept, so only
+    # the trial itself can refuse it
     def new_series(instance, policy, cid):
-        return [F(100)] if cid == "c1" else []
+        return [F(101)] if cid == "c1" else []
     with pytest.raises(sync.CapExceeded) as from_ujr:
-        sync.ujr([F(1), F(100), F(2)], cap=2)
+        sync.ujr([F(2), F(101), F(3)], cap=2)
     with pytest.raises(sync.CapExceeded) as from_descent:
         coordinate_descent(inst, start=start, candidate_fn=new_series, cap=2)
     with pytest.raises(sync.CapExceeded) as from_reference:
@@ -405,15 +416,30 @@ def test_descent_cap_refusal_matches_ujr():
     assert str(from_descent.value) == str(from_ujr.value) \
         == str(from_reference.value)
 
-    # a trial cycle another commodity already has adds no distinct series:
-    # c2 tries c0's cycle 1 against the others' two distinct series
+    # a trial cycle another commodity already has adds no series: c2 tries
+    # c0's cycle 2 against the others' two series
     def repeated_series(instance, policy, cid):
-        return [F(1)] if cid == "c2" else []
+        return [F(2)] if cid == "c2" else []
     res = coordinate_descent(inst, start=start, candidate_fn=repeated_series,
                              cap=2)
     assert (res.policy, res.nodes_explored) == (start, 2)
     assert res.policy == reference_descent(inst, start, repeated_series,
                                            cap=2)[0]
+
+    # nor does a trial the prune absorbs: 2 and 3 divide 6, and 1 divides
+    # every cycle. c2 moves to 6 within a cap of 2, and from 4 to 6 within
+    # a cap of 1, where 2 divides every cycle
+    def absorbed_series(instance, policy, cid):
+        return [F(6), F(12)] if cid == "c2" else [F(1)]
+    narrow = Policy({"c0": F(2), "c1": F(4), "c2": F(4)})
+    for cap, start in ((2, start), (1, narrow)):
+        res = coordinate_descent(inst, start=start,
+                                 candidate_fn=absorbed_series, cap=cap)
+        policy, cost, nodes = reference_descent(inst, start, absorbed_series,
+                                                cap=cap)
+        assert (res.policy, res.cost, res.nodes_explored) \
+            == (policy, cost, nodes)
+        assert res.policy.cycle("c2") == 6
 
 
 def _in_orders(cands, seed):
@@ -593,6 +619,21 @@ def test_power_of_two_matches_fraction_reference():
         assert (res.policy, res.cost, res.method) == want, (i, grid)
         winners.add(tuple(sorted(set(res.policy.cycles.values()))))
     assert refused > 10 and len(winners) > 150
+
+
+def test_power_of_two_answers_a_chain_past_the_cap():
+    # t* = 2^i for i < 25: 25 distinct cycles, but at any base the least
+    # divides every other, so one series reaches the kernel
+    inst = Instance(tuple(Commodity(f"c{i}", F(2), F(1), F(4) ** i)
+                          for i in range(25)), F(3))
+    fixed = power_of_two(inst)
+    assert fixed.policy.cycles == {f"c{i}": F(2) ** i for i in range(25)}
+    assert fixed.cost == total_cost(inst, fixed.policy)
+    assert fixed.cost.joint_frequency == 1
+    res = power_of_two(inst, optimize_base=True)
+    policy, cost, method = reference_power_of_two(inst)
+    assert (res.policy, res.cost, res.method) == (policy, cost, method)
+    assert res.cost.total <= fixed.cost.total     # base 1 is on the grid
 
 
 def test_power_of_two_sweep_matches_reference():

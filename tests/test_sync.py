@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrp_forge import sync
+from jrp_forge import _kernels, sync
 from jrp_forge.model import InputError
 from jrp_forge.sync import (
     CapExceeded,
@@ -122,12 +122,37 @@ def test_int_core_matches_enumeration_and_every_form(ints):
         assert ujr(form) == rate
 
 
-def test_int_core_cap_counts_before_pruning():
+CAP_MESSAGE = ("more than {} series remain after pruning (the "
+               "inclusion-exclusion cap); use ujr_enumerate or raise the cap")
+
+
+def test_int_core_cap_counts_after_pruning():
     # 4 divides 8 and 16: one series after pruning, three before
+    assert sync._int_ujr({4, 8, 16}, 1) == (1, 4)
     assert sync._int_ujr({4, 8, 16}, 3) == (1, 4)
-    with pytest.raises(CapExceeded, match="3 distinct series exceed the "
-                       "inclusion-exclusion cap 2; use ujr_enumerate"):
-        sync._int_ujr({4, 8, 16}, 2)
+    # an antichain loses nothing to the prune
+    assert sync._int_ujr({4, 6, 9}, 3) == (14, 36)
+    with pytest.raises(CapExceeded) as exc:
+        sync._int_ujr({4, 6, 9}, 2)
+    assert str(exc.value) == CAP_MESSAGE.format(2)
+    # ijr refuses on the same count, with the same message
+    assert ijr([[4, 8, 16], [4]], cap=1) == F(1, 4)
+    with pytest.raises(CapExceeded) as exc:
+        ijr([[4, 6, 9], [1]], cap=2)
+    assert str(exc.value) == CAP_MESSAGE.format(2)
+
+
+def test_bounded_prune_stops_past_the_limit():
+    # no period in 15001..30000 divides another, so the full antichain is
+    # the whole range; the bounded prune keeps only its first limit + 1
+    periods = range(15001, 30001)
+    assert _kernels._absorb(periods, 20) == list(range(15001, 15022))
+    assert _kernels._absorb(range(15001, 15101)) == list(range(15001, 15101))
+    with pytest.raises(CapExceeded) as exc:
+        ujr(list(periods))
+    assert str(exc.value) == CAP_MESSAGE.format(sync.DEFAULT_IE_CAP)
+    # a limit counts kept periods only: every multiple of 2 is absorbed
+    assert _kernels._absorb([2, *range(4, 400, 2), 3], 1) == [2, 3]
 
 
 def test_string_in_flat_list_is_one_period():
@@ -213,15 +238,20 @@ def test_ujr_with_cap_message_matches_ujr():
     refused = [([F(2), 3], F(5), 2),          # a new third series
                ([F(2), F(3), F(5)], F(7), 2),  # the others alone exceed it
                ([F(2), F(3), F(5)], 3, 2),
-               ([4, 8], 16, 2)]               # counted before pruning
+               ([F(2), F(3), F(5)], 30, 2)]    # an other divides t
     for others, t, cap in refused:
         with pytest.raises(CapExceeded) as want:
             ujr(others + [t], cap=cap)
         with pytest.raises(CapExceeded) as got:
             _rate_with(others, t, cap)
-        assert str(got.value) == str(want.value)
-    # t repeats an other: no new series, within the cap
-    assert _rate_with([F(2), 3], 2, 2) == ujr([2, 3, 2], cap=2)
+        assert str(got.value) == str(want.value) == CAP_MESSAGE.format(cap)
+    answered = [([F(2), 3], 2, 2),            # t repeats an other
+                ([4, 8], 16, 2),              # one series after pruning
+                ([4, 8], 16, 1),
+                ([F(6), F(10), F(15)], 1, 1),  # t divides every other
+                ([F(3), F(9, 2)], F(3, 2), 1)]  # and over a new scale
+    for others, t, cap in answered:
+        assert _rate_with(others, t, cap) == ujr(others + [t], cap=cap)
 
 
 def test_enumerate_cap():
