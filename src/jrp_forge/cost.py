@@ -9,14 +9,15 @@ The decomposition charges each commodity class its marginal union
 contribution in the fixed order constants -> variables -> clauses.
 
 seed_cost and the exhaustive and power-of-two scans price a multiplier
-profile through one integer helper, _profile_pricer.
+profile through one integer helper, _profile_pricer, over the instance's
+costs scaled to integers once by _scaled_costs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import TYPE_CHECKING, Optional
+from math import gcd, lcm
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import sync
 from .eoq import standalone_cost
@@ -157,23 +158,46 @@ def jr_bounds(instance: Instance, policy: Policy, commodity_id: str,
     return lb, ub
 
 
-def _profile_pricer(instance: Instance, cap: int | None):
-    """Integer prices of multiplier profiles: (price, D, SB).
+class _ScaledCosts(NamedTuple):
+    """An instance's costs as integers: K0 and the setups over their
+    denominator lcm d, the holding weights w = lambda*h/2 over theirs, sb."""
+    k0: int
+    setups: list[int]
+    weights: list[int]
+    d: int
+    sb: int
+
+
+def _scaled_costs(instance: Instance) -> _ScaledCosts:
+    (k0, *setups), d = sync._scale_to_integers(
+        [instance.joint_setup, *(c.setup for c in instance.commodities)])
+    # each weight in lowest terms from the integers of lambda and h, which
+    # is several times cheaper than Fraction products
+    parts = []
+    for c in instance.commodities:
+        num = c.demand.numerator * c.holding.numerator
+        den = 2 * c.demand.denominator * c.holding.denominator
+        g = gcd(num, den)
+        parts.append((num // g, den // g))
+    sb = lcm(*(den for _, den in parts))
+    return _ScaledCosts(k0, setups, [num * (sb // den) for num, den in parts],
+                        d, sb)
+
+
+def _profile_pricer(scaled: _ScaledCosts, cap: int | None):
+    """Integer prices of multiplier profiles.
 
     With D and SB the lcms of the setup denominators (K0 included) and of
-    the holding-weight denominators (w = lambda*h/2), and H = lcm(ks) a
-    profile's hyperperiod, cost(beta) = A/beta + B*beta has integer
-    a = A*D*H and b = B*SB, so A*B = a*b / (D*SB*H). price(ks) returns
-    (a, b, H) for multipliers ks in commodity order. The joint term of a is
-    K0*D times the union count of sync's integer core, scaled from the
+    the holding-weight denominators, scaled.d and scaled.sb, and H = lcm(ks)
+    a profile's hyperperiod, cost(beta) = A/beta + B*beta has integer
+    a = A*D*H and b = B*SB, so A*B = a*b / (D*SB*H). The returned price(ks)
+    gives (a, b, H) for multipliers ks in commodity order. The joint term of
+    a is K0*D times the union count of sync's integer core, scaled from the
     core's hyperperiod up to H, computed once per distinct set of
     multipliers; as in ujr, the cap counts the multipliers left after the
     core prunes those another divides.
     """
-    (k0_int, *setup_ints), d = sync._scale_to_integers(
-        [instance.joint_setup, *(c.setup for c in instance.commodities)])
-    weight_ints, sb = sync._scale_to_integers(
-        [c.demand * c.holding / 2 for c in instance.commodities])
+    k0_int, setup_ints, weight_ints = scaled.k0, scaled.setups, scaled.weights
     joint_cache: dict[frozenset[int], tuple[int, int]] = {}
 
     def price(ks: tuple[int, ...]) -> tuple[int, int, int]:
@@ -190,7 +214,7 @@ def _profile_pricer(instance: Instance, cap: int | None):
             b += weight * k
         return a, b, h
 
-    return price, d, sb
+    return price
 
 
 def seed_cost(instance: Instance, profile: SeedProfile,
@@ -210,6 +234,6 @@ def seed_cost(instance: Instance, profile: SeedProfile,
     for c, k in zip(instance.commodities, ks):
         if not isinstance(k, int) or k < 1:
             raise InputError(f"multiplier for {c.id!r} must be a positive integer")
-    price, d, sb = _profile_pricer(instance, cap)
-    a, b, h = price(ks)
-    return Fraction(a, d * h), Fraction(b, sb)
+    scaled = _scaled_costs(instance)
+    a, b, h = _profile_pricer(scaled, cap)(ks)
+    return Fraction(a, scaled.d * h), Fraction(b, scaled.sb)

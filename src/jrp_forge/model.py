@@ -169,22 +169,36 @@ def format_rational(q: Fraction) -> str:
 
 
 def rational_to_decimal(q: Fraction, digits: int = 12) -> str:
-    """Presentation-layer decimal rendering (round-half-even via float of scaled int)."""
+    """Presentation-layer decimal rendering: `digits` significant digits,
+    rounded half to even, in integer arithmetic.
+
+    The exponent e with 10^e <= |q| < 10^(e+1) is estimated from bit lengths
+    and corrected by at most a step or two; the mantissa is one divmod of
+    |q| * 10^(digits-1-e). A carry that adds a digit (9.99.. -> 10.0) moves
+    the exponent up.
+    """
     if q == 0:
         return "0"
     sign = "-" if q < 0 else ""
-    q = abs(q)
-    exp = 0
-    while q >= 10:
-        q /= 10
-        exp += 1
-    while q < 1:
-        q *= 10
+    n, d = abs(q.numerator), q.denominator
+
+    def at_least(e: int) -> bool:     # n/d >= 10^e
+        return n >= d * 10 ** e if e >= 0 else n * 10 ** -e >= d
+
+    # with b the difference of the bit lengths, log10(n/d) lies between
+    # (b - 1)*log10(2) and (b + 1)*log10(2)
+    exp = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while not at_least(exp):
         exp -= 1
-    scaled = q * Fraction(10) ** (digits - 1)
-    mantissa = scaled.numerator // scaled.denominator
-    rem = scaled - mantissa
-    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and mantissa % 2):
+    while at_least(exp + 1):
+        exp += 1
+    shift = digits - 1 - exp
+    if shift >= 0:
+        mantissa, rem = divmod(n * 10 ** shift, d)
+    else:
+        d *= 10 ** -shift
+        mantissa, rem = divmod(n, d)
+    if 2 * rem > d or (2 * rem == d and mantissa % 2):
         mantissa += 1
     digits_str = str(mantissa)
     if len(digits_str) > digits:  # rounding overflowed, e.g. 9.99.. -> 10.0

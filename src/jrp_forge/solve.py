@@ -5,11 +5,16 @@ Every winner is selected with exact rational comparisons. Optima of the form
 through squares), so ties break deterministically and never through floats.
 exhaustive_search and power_of_two rank profiles by the plain integers of
 cost._profile_pricer: a*b over each profile's hyperperiod lcm(ks), with no
-Fraction and no square root until the winning seed is refined. power_of_two
-rounds to exponents by integer bit lengths and builds its base grid from
-exact integer roots. Across the octave of grid bases each exponent falls at
-most once, so it is rounded once and the step where it falls is found by
-bisection: O(n log grid) integer work plus one pricing per distinct pattern.
+Fraction and no square root until the winning seed is refined. The
+refinement, optimize_seed, reads the cost breakdown off the seed
+coefficients (A, B) and the union count of the multipliers instead of
+repricing the policy. power_of_two rounds to exponents by integer bit
+lengths, from targets that are integer pairs over the pricer's scaled
+costs, and takes its base grid of exactly rounded roots from one integer
+root carried with error bounds. Across the octave of grid bases each
+exponent falls at most once, so it is rounded once and the step where it
+falls is found by bisection: O(n log grid) integer work plus one pricing
+per distinct pattern.
 coordinate_descent prices each trial move incrementally and in plain
 integers: only the moved cycle's standalone cost and the union rate change,
 the other cycles are scaled and pruned once per commodity, and each trial
@@ -20,6 +25,7 @@ of their order.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -27,7 +33,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import sync
-from .cost import CostBreakdown, _profile_pricer, seed_cost, total_cost
+from .cost import (
+    CostBreakdown,
+    _profile_pricer,
+    _scaled_costs,
+    _ScaledCosts,
+    seed_cost,
+    total_cost,
+)
 from .eoq import optimal_cycle, sqrt_fraction, standalone_cost
 from .model import (
     InputError,
@@ -108,6 +121,11 @@ def optimize_seed(instance: Instance, profile: ProfileLike,
     beta* = sqrt(A/B) with cost 2*sqrt(A*B), exact whenever A/B is a perfect
     rational square and otherwise refined to relative error far below 1e-12.
     An interval clamps to the nearer endpoint, where the cost is exact.
+
+    The breakdown is read off (A, B) rather than repriced: the policy
+    beta*k costs A/beta + B*beta exactly, its union rate is UJR(ks)/beta
+    with UJR(ks) from sync's integer core, and the standalone total is the
+    rest. It equals total_cost of the policy field by field.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -121,7 +139,12 @@ def optimize_seed(instance: Instance, profile: ProfileLike,
     else:
         method = f"seed({where})"
     policy = expand_profile(SeedProfile(mult, beta))
-    breakdown = total_cost(instance, policy, cap=cap)
+    count, hyper = sync._int_ujr(set(mult.values()), cap)
+    total = a / beta + b * beta
+    joint_frequency = Fraction(count, hyper) / beta
+    joint_cost = instance.joint_setup * joint_frequency
+    breakdown = CostBreakdown(total - joint_cost, joint_frequency, joint_cost,
+                              total)
     return SolveResult(policy, breakdown, method, 1, time.perf_counter() - t0)
 
 
@@ -168,7 +191,9 @@ def exhaustive_search(instance: Instance, k_bounds,
             f"{n_profiles} profiles exceed the cap of {profile_cap}")
 
     ids = instance.ids()
-    price, d, sb = _profile_pricer(instance, cap)
+    scaled = _scaled_costs(instance)
+    price = _profile_pricer(scaled, cap)
+    d, sb = scaled.d, scaled.sb
     dsb = d * sb
     if interval is not None:
         (lo_n, lo_m), (hi_n, hi_m) = (q.as_integer_ratio() for q in interval)
@@ -332,10 +357,12 @@ def _pot_exponent(t_sq: Fraction, base_sq: Fraction) -> int:
 
 
 _GRID_BITS = 24     # power_of_two's base grid steps are multiples of 2^-24
-# _grid_step raises a 26-bit integer to the grid-th power for every step, so
-# the base table costs more than linearly in the grid; at 1024 steps it is
-# nearly all of a solve's time
+# _grid_steps takes the table from one root, by integer Newton on a number
+# of about 80*grid bits, then two 80-bit products per step: 0.03-0.06 ms at
+# 64 steps and 1.2-1.8 ms at 1024 on a 2-vCPU VM, where _grid_step at every
+# step took 0.13-0.23 ms and 0.16-0.24 s
 MAX_GRID = 1024
+_ROOT_BITS = 80     # fraction bits of the root _grid_steps carries
 
 
 def _grid_step(j: int, grid: int) -> int:
@@ -356,10 +383,47 @@ def _grid_step(j: int, grid: int) -> int:
     return x
 
 
-def _exponent_falls(t_sqs: Iterable[Fraction], base_sq: Fraction,
+def _grid_steps(grid: int) -> list[int]:
+    """[_grid_step(j, grid) for j in range(grid)], from one root.
+
+    With P = _ROOT_BITS, r = floor(2^(P + 1/grid)) is the integer grid-th
+    root of 2^(P*grid + 1), by integer Newton. Bounds lo <= 2^(P + j/grid)
+    <= hi are carried from lo = hi = 2^P, times r floored and times r + 1
+    ceiled back to P bits at each step. Step j rounds 2^(P + j/grid) to a
+    multiple of 2^(P - 24), and 2^(24 + j/grid) is never a half-integer, so
+    the step is decided when lo and hi round alike; otherwise _grid_step
+    decides it. The float only seeds Newton: one step from any positive
+    start lands at or above the root, and the iteration then falls to it.
+    """
+    p = _ROOT_BITS
+    n = 1 << (p * grid + 1)
+
+    def newton(x: int) -> int:
+        return ((grid - 1) * x + n // x ** (grid - 1)) // grid
+
+    r = newton(int(math.ldexp(2 ** (1 / grid), p)))
+    while (nxt := newton(r)) < r:
+        r = nxt
+    shift = p - _GRID_BITS
+    half = 1 << (shift - 1)
+    lo = hi = 1 << p
+    steps = []
+    for j in range(grid):
+        if j:
+            lo = lo * r >> p
+            hi = -(-hi * (r + 1) >> p)
+        step = (lo + half) >> shift
+        if (hi + half) >> shift != step:
+            step = _grid_step(j, grid)
+        steps.append(step)
+    return steps
+
+
+def _exponent_falls(t_sqs: Iterable[tuple[int, int]], base_sq: Fraction,
                     step_sqs: list[int]) -> list[tuple[int, int]]:
     """(m0, fall) per target: its exponent over one octave of grid bases.
 
+    Each target's square comes as positive integers (tp, tq), t^2 = tp/tq.
     With S_j = step_sqs[j] increasing from S_0 = 2^48 and S_j/S_0 < 4, the
     grid base b_j = base*sqrt(S_j)/2^24 has b_j^2 = base^2*S_j/2^48. The
     exponent _pot_exponent(t^2, b_j^2) is m0 at every step j < fall and
@@ -368,10 +432,10 @@ def _exponent_falls(t_sqs: Iterable[Fraction], base_sq: Fraction,
     is below m0 exactly where S_j >= p*2^48 / (q*2^(2*m0 - 1)), and
     S_j < 4*S_0 keeps it above m0 - 2.
     """
+    bn, bd = base_sq.numerator, base_sq.denominator
     out = []
-    for t_sq in t_sqs:
-        p = t_sq.numerator * base_sq.denominator
-        q = t_sq.denominator * base_sq.numerator
+    for tp, tq in t_sqs:
+        p, q = tp * bd, tq * bn
         m0 = _ceil_log2(p, q) // 2
         shift = 2 * _GRID_BITS - (2 * m0 - 1)
         # the least integer S_j at which the exponent is below m0
@@ -383,32 +447,37 @@ def _exponent_falls(t_sqs: Iterable[Fraction], base_sq: Fraction,
     return out
 
 
-def _cluster_target_squares(instance: Instance) -> dict[str, Fraction]:
-    """Squared cycle targets from the joint-setup relaxation.
+def _cluster_targets(scaled: _ScaledCosts) -> list[tuple[int, int]]:
+    """Squared cycle targets from the joint-setup relaxation, as integer
+    pairs (tp, tq) with t^2 = tp/tq, in commodity order.
 
     The joint cost is bounded below by the joint setup paid at the most
     frequent commodity's rate.  Minimizing that relaxation glues the
     commodities with the smallest standalone optima onto one shared cycle
     that carries the joint setup; the rest keep their standalone optima.
-    The cluster grows greedily in ascending t* order while the next
-    standalone optimum still undercuts the running shared cycle.
+    The cluster grows greedily in ascending t* order (ties in commodity
+    order) while the next standalone optimum still undercuts the running
+    shared cycle. With setups s and weights w over D and SB,
+    t*^2 = s*SB / (w*D) and the shared cycle's square is
+    (K0 + sum s)*SB / (sum w * D), so every comparison cross-multiplies.
     """
-    hs = {c.id: c.demand * c.holding / 2 for c in instance.commodities}
-    t_sq = {c.id: c.setup / hs[c.id] for c in instance.commodities}
-    order = sorted(instance.ids(), key=lambda cid: t_sq[cid])
-    by_id = {c.id: c for c in instance.commodities}
-    sum_k = instance.joint_setup + by_id[order[0]].setup
-    sum_h = hs[order[0]]
+    k0, setups, weights, d, sb = scaled
+    # t*^2 * lcm(w) * D / SB, an integer that orders the t* exactly
+    w_lcm = math.lcm(*weights)
+    order = sorted(range(len(setups)),
+                   key=lambda i: setups[i] * (w_lcm // weights[i]))
+    sum_k, sum_h = k0 + setups[order[0]], weights[order[0]]
     cluster = 1
-    for cid in order[1:]:
-        if t_sq[cid] >= sum_k / sum_h:
+    for i in order[1:]:
+        if setups[i] * sum_h >= sum_k * weights[i]:     # t*^2 >= shared^2
             break
-        sum_k += by_id[cid].setup
-        sum_h += hs[cid]
+        sum_k += setups[i]
+        sum_h += weights[i]
         cluster += 1
-    shared_sq = sum_k / sum_h
-    return {cid: shared_sq if i < cluster else t_sq[cid]
-            for i, cid in enumerate(order)}
+    targets = [(s * sb, w * d) for s, w in zip(setups, weights)]
+    for i in order[:cluster]:
+        targets[i] = (sum_k * sb, sum_h * d)
+    return targets
 
 
 def power_of_two(instance: Instance, base: Fraction = Fraction(1),
@@ -435,8 +504,10 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     finds by one bisection over the squared grid steps. A pattern is rebuilt
     and priced only at the first base and where one of its exponents falls;
     at every other base it repeats the pattern before it, which is already
-    seen. That is O(n log grid) integer work, at most 2n + 2 patterns priced
-    and the exact root table of the grid.
+    seen. That is O(n log grid) integer work and at most 2n + 2 patterns
+    priced. Around the scan the work is integer too: both target lists are
+    integer pairs from the pricer's scaled costs, the root table comes from
+    _grid_steps, and the winner's breakdown is read off by optimize_seed.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -444,13 +515,13 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     base = Fraction(base)
     if base <= 0:
         raise InputError(f"base must be > 0, got {base}")
-    # t*^2 = K/w with w = lambda*h/2
-    weights = [c.demand * c.holding / 2 for c in instance.commodities]
 
     if not optimize_base:
         base_sq = base * base
-        cycles = {c.id: base * Fraction(2) ** _pot_exponent(c.setup / w, base_sq)
-                  for c, w in zip(instance.commodities, weights)}
+        # t*^2 = K/w with w = lambda*h/2
+        cycles = {c.id: base * Fraction(2) ** _pot_exponent(
+                      c.setup / (c.demand * c.holding / 2), base_sq)
+                  for c in instance.commodities}
         policy = Policy(cycles)
         return SolveResult(policy, total_cost(instance, policy, cap=cap),
                            f"pot(base={base})", len(cycles),
@@ -461,20 +532,21 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     if grid > MAX_GRID:
         raise InputError(f"grid must be <= {MAX_GRID}, got {grid}")
     ids = instance.ids()
-    targets = _cluster_target_squares(instance)
-    standalone_sqs = [c.setup / w for c, w in zip(instance.commodities, weights)]
-    target_sqs = [targets[cid] for cid in ids]
-    step_sqs = [_grid_step(j, grid) ** 2 for j in range(grid)]
+    scaled = _scaled_costs(instance)
+    standalone_sqs = [(s * scaled.sb, w * scaled.d)
+                      for s, w in zip(scaled.setups, scaled.weights)]
+    step_sqs = [x * x for x in _grid_steps(grid)]
     # per list: the exponents at j = 0, and the commodities whose exponent
     # falls by one at each later step j
     sweeps = []
-    for sqs in (standalone_sqs, target_sqs):
+    for sqs in (standalone_sqs, _cluster_targets(scaled)):
         exps, falls = [], {}
         for i, (m0, j) in enumerate(_exponent_falls(sqs, base * base, step_sqs)):
             exps.append(m0)
             falls.setdefault(j, []).append(i)
         sweeps.append((exps, falls))
-    price, d, sb = _profile_pricer(instance, cap)
+    price = _profile_pricer(scaled, cap)
+    dsb = scaled.d * scaled.sb
     seen: set[tuple[int, ...]] = set()
     # (True, a*b, H) of the best profile, which costs 2*sqrt(A*B) with
     # A*B = a*b / (D*SB*H); the first seen wins ties
@@ -495,7 +567,7 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
             seen.add(ks)
             a, b, h = price(ks)
             cand = (True, a * b, h)
-            if best is None or _scaled_lt(cand, best, d * sb):
+            if best is None or _scaled_lt(cand, best, dsb):
                 best, best_profile = cand, ks
 
     assert best_profile is not None

@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented differently from the package:
 set-based epoch counting instead of inclusion-exclusion, float golden-section
-search instead of the closed form, reversed-order clause evaluation, and
-sympy's primality test. None of it imports package internals beyond types,
+search instead of the closed form, reversed-order clause evaluation,
+Fraction loops for decimal rendering and power-of-two cluster targets where
+the package uses integers, and sympy's primality test. None of it imports package internals beyond types,
 except reference_descent and reference_roundtrip, which price every trial
 through the public total_cost, and reference_power_of_two, which ranks every
 pattern through the public seed_cost.
@@ -256,6 +257,33 @@ def reference_roundtrip(formula, constants=None, cap: int | None = None):
     )
 
 
+def cluster_target_squares(instance) -> dict:
+    """Squared cycle targets from the joint-setup relaxation, in Fractions.
+
+    The commodities with the smallest standalone optima t* (ties in
+    instance order) are glued onto one shared cycle carrying the joint
+    setup, sum K / sum w with w = lambda*h/2 and K0 in the sum, while the
+    next t*^2 is still below the running shared square; the rest keep t*^2.
+    Returns {id: t^2}.
+    """
+    hs = {c.id: c.demand * c.holding / 2 for c in instance.commodities}
+    t_sq = {c.id: c.setup / hs[c.id] for c in instance.commodities}
+    order = sorted(instance.ids(), key=lambda cid: t_sq[cid])
+    by_id = {c.id: c for c in instance.commodities}
+    sum_k = instance.joint_setup + by_id[order[0]].setup
+    sum_h = hs[order[0]]
+    cluster = 1
+    for cid in order[1:]:
+        if t_sq[cid] >= sum_k / sum_h:
+            break
+        sum_k += by_id[cid].setup
+        sum_h += hs[cid]
+        cluster += 1
+    shared_sq = sum_k / sum_h
+    return {cid: shared_sq if i < cluster else t_sq[cid]
+            for i, cid in enumerate(order)}
+
+
 def reference_power_of_two(instance, base: Fraction = Fraction(1),
                            grid: int = 64, cap: int | None = None):
     """power_of_two(optimize_base=True) ranked with Fraction coefficients.
@@ -268,16 +296,10 @@ def reference_power_of_two(instance, base: Fraction = Fraction(1),
     """
     from jrp_forge.cost import seed_cost
     from jrp_forge.model import SeedProfile
-    from jrp_forge.solve import (
-        _GRID_BITS,
-        _cluster_target_squares,
-        _grid_step,
-        _pot_exponent,
-        optimize_seed,
-    )
+    from jrp_forge.solve import _GRID_BITS, _grid_step, _pot_exponent, optimize_seed
 
     ids = instance.ids()
-    targets = _cluster_target_squares(instance)
+    targets = cluster_target_squares(instance)
     standalone_sqs = [c.setup / (c.demand * c.holding / 2)
                       for c in instance.commodities]
     target_sqs = [targets[cid] for cid in ids]
@@ -299,3 +321,38 @@ def reference_power_of_two(instance, base: Fraction = Fraction(1),
     assert best_profile is not None
     refined = optimize_seed(instance, best_profile, cap=cap)
     return refined.policy, refined.cost, "pot(opt-base)"
+
+
+def reference_rational_to_decimal(q: Fraction, digits: int = 12) -> str:
+    """rational_to_decimal by Fraction division: q is divided or multiplied
+    by 10 one step at a time into [1, 10), scaled to `digits` significant
+    digits and rounded half to even; the same output layout."""
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    exp = 0
+    while q >= 10:
+        q /= 10
+        exp += 1
+    while q < 1:
+        q *= 10
+        exp -= 1
+    scaled = q * Fraction(10) ** (digits - 1)
+    mantissa = scaled.numerator // scaled.denominator
+    rem = scaled - mantissa
+    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and mantissa % 2):
+        mantissa += 1
+    digits_str = str(mantissa)
+    if len(digits_str) > digits:  # rounding overflowed, e.g. 9.99.. -> 10.0
+        digits_str = digits_str[:digits]
+        exp += 1
+    point = exp + 1
+    if 0 < point <= digits:
+        out = digits_str[:point] + "." + digits_str[point:]
+        out = out.rstrip(".") if out.endswith(".") else out
+    elif point <= 0:
+        out = "0." + "0" * (-point) + digits_str
+    else:
+        out = digits_str + "0" * (point - digits)
+    return sign + out.rstrip("0").rstrip(".") if "." in out else sign + out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -406,3 +407,42 @@ def test_output_does_not_depend_on_the_string_hash(tmp_path):
     assert (reduce_rc, eval_rc) == (0, 2)
     assert "'y1'; policy missing cycle for commodity 'y2'" in eval_err
     assert runs[0] == runs[1]
+
+
+_GOLDEN_SOLVES = (
+    ("--method", "pot"),
+    ("--method", "pot", "--optimize-base"),
+    ("--method", "exhaustive", "--k-hi", "4"),    # refused at n = 16
+    ("--method", "seed"),
+    ("--method", "descent"),
+)
+
+
+def _golden_digest(capsys, path: str) -> str:
+    # exit code and stdout of every solve above, in json and then csv
+    h = hashlib.sha256()
+    for fmt in ("json", "csv"):
+        for args in _GOLDEN_SOLVES:
+            rc, out, _ = run(capsys, "solve", path, *args, "--format", fmt)
+            h.update(f"{rc}\n{out}\0".encode())
+    return h.hexdigest()
+
+
+GOLDEN_SOLVE_SHA256 = {
+    (4, 0): "baa70a8344aad27101423391336bc283bee5293cc2fc656d14af6dd502db23cc",
+    (4, 1): "e6f03786ab59f3c635073774988fbb56d9787b292c602b601fdbb9c63438cecd",
+    (4, 2): "e3afe1ec248599b9579b10d29cc65f600158f6cc4eb924fc2bcb6a8ef1e01425",
+    (16, 0): "8c18d5943c19dab9640b6bf0571b1e82551475ffe565ed00e7588ba93936525d",
+    (16, 1): "71264b9a2241ef1063a0cfd48fa9fb55efb205e74d26be5264c9b88e92601a70",
+    (16, 2): "e2e9e02e916864289cf2e7f4af61c86a9250aea2fb7761eb10a2b5ac0057a5ff",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(GOLDEN_SOLVE_SHA256))
+def test_solve_stdout_matches_golden_digest(capsys, tmp_path, n, seed):
+    # pins the exact bytes every solver prints on generated instances, so a
+    # change to how they are computed cannot change what they print
+    path = str(tmp_path / "inst.json")
+    assert run(capsys, "gen", "--n", str(n), "--rng-seed", str(seed),
+               "--out", path)[0] == 0
+    assert _golden_digest(capsys, path) == GOLDEN_SOLVE_SHA256[n, seed]

@@ -25,6 +25,8 @@ from jrp_forge.model import (
     validate_policy,
 )
 
+from .oracles import reference_rational_to_decimal
+
 F = Fraction
 
 
@@ -100,6 +102,43 @@ def test_decimal_rendering_close(q):
     # 12 significant digits -> relative error below 5e-12
     rendered = float(rational_to_decimal(q))
     assert abs(rendered - float(q)) <= 5e-12 * float(q) + 1e-15
+
+
+signs = st.sampled_from((1, -1))
+decimal_digits = st.integers(1, 30)
+exponents = st.integers(-40, 40)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(signs, st.integers(1, 10**40), st.integers(1, 10**40), decimal_digits)
+def test_rational_to_decimal_matches_reference(sign, num, den, digits):
+    # magnitudes from 10^-40 to 10^40
+    q = sign * F(num, den)
+    assert rational_to_decimal(q, digits) == reference_rational_to_decimal(q, digits)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(signs, st.data(), decimal_digits, exponents)
+def test_rational_to_decimal_ties_round_half_to_even(sign, data, digits, exp):
+    # M + 1/2 at the last digit kept: even M stays, odd M rounds up
+    mantissa = data.draw(st.integers(10 ** (digits - 1), 10 ** digits - 2))
+    q = sign * F(2 * mantissa + 1, 2) * F(10) ** exp
+    got = rational_to_decimal(q, digits)
+    assert got == reference_rational_to_decimal(q, digits)
+    rounded = mantissa + mantissa % 2
+    assert F(got) == sign * rounded * F(10) ** exp
+
+
+@settings(max_examples=200, derandomize=True)
+@given(signs, decimal_digits, exponents,
+       st.sampled_from((F(1, 2), F(1, 2) + F(1, 10**6), F(3, 4), F(99, 100))))
+def test_rational_to_decimal_carry_adds_a_digit(sign, digits, exp, tail):
+    # 99..9 (digits nines) plus a tail of at least a half rounds up to the
+    # next power of ten; at exactly a half the odd 99..9 goes up as well
+    q = sign * (10 ** digits - 1 + tail) * F(10) ** exp
+    got = rational_to_decimal(q, digits)
+    assert got == reference_rational_to_decimal(q, digits)
+    assert F(got) == sign * F(10) ** (exp + digits)
 
 
 def test_validate_instance_findings():

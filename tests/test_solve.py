@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 from jrp_forge import _kernels, sync
 from jrp_forge import solve as solve_mod
 from jrp_forge.cli import _random_instance
-from jrp_forge.cost import total_cost
+from jrp_forge.cost import _scaled_costs, seed_cost, total_cost
 from jrp_forge.eoq import optimal_cycle, sqrt_fraction, standalone_cost
 from jrp_forge.model import Commodity, InputError, Instance, Policy, SeedProfile
 from jrp_forge.solve import (
     _GRID_BITS,
     MAX_GRID,
+    _cluster_targets,
     _exponent_falls,
     _grid_step,
+    _grid_steps,
     _pot_exponent,
     coordinate_descent,
     default_candidates,
@@ -27,7 +29,12 @@ from jrp_forge.solve import (
     power_of_two,
 )
 
-from .oracles import exhaustive_argmin, reference_descent, reference_power_of_two
+from .oracles import (
+    cluster_target_squares,
+    exhaustive_argmin,
+    reference_descent,
+    reference_power_of_two,
+)
 
 F = Fraction
 
@@ -78,6 +85,64 @@ def test_optimize_seed_clamped():
                          seed_interval=(F(1, 4), F(1, 2)))
     assert res2.method == "seed(clamped-hi)"
     assert res2.policy.cycles["a"] == F(1, 2)
+
+
+def _seed_instance(rng: random.Random, n: int) -> Instance:
+    # rational K0, setups and holding costs, so D and SB exceed 1
+    return Instance(tuple(
+        Commodity(f"c{j}", F(rng.randint(1, 8), rng.randint(1, 3)),
+                  F(rng.randint(1, 30), rng.randint(1, 8)),
+                  F(rng.randint(1, 100), rng.randint(1, 4)))
+        for j in range(n)), F(rng.randint(1, 50), rng.randint(1, 3)))
+
+
+def test_optimize_seed_breakdown_equals_total_cost():
+    # the breakdown read off (A, B) is the policy's total_cost, field by
+    # field, at interior seeds (exact and refined) and clamped ones
+    rng = random.Random(20261021)
+    methods = Counter()
+    for i in range(240):
+        n = rng.randint(1, 8)
+        inst = _seed_instance(rng, n)
+        ks = {c.id: rng.randint(1, 6) for c in inst.commodities}
+        if i % 8 == 0:
+            # k = 1 and K = lambda*h/2 * (x^2 - K0) make A/B = x^2: exact
+            c = inst.commodities[0]
+            x = F(rng.randint(1, 9), rng.randint(1, 3)) + inst.joint_setup
+            inst = Instance((Commodity(c.id, c.demand, c.holding,
+                                       c.demand * c.holding / 2 * x * x
+                                       - inst.joint_setup),), inst.joint_setup)
+            ks = {c.id: 1}
+        a, b = seed_cost(inst, SeedProfile(ks))
+        root = sqrt_fraction(a / b)[0]
+        interval = (None, (root * 2, root * 3), (root / 3, root / 2),
+                    (root / 2, root * 2))[i % 4]
+        res = optimize_seed(inst, ks, seed_interval=interval)
+        methods[res.method] += 1
+        assert res.cost == total_cost(inst, res.policy), i
+        cid = inst.ids()[0]
+        beta = res.policy.cycles[cid] / ks[cid]
+        assert res.cost.total == a / beta + b * beta
+    assert set(methods) == {"seed(exact)", "seed(refined)", "seed(clamped-lo)",
+                            "seed(clamped-hi)"}
+    assert min(methods.values()) >= 20, methods
+
+
+def test_optimize_seed_cap_message_matches_ujr():
+    # (2, 3, 5) leaves three series after pruning: refused at cap 2 with
+    # the union rate's own message, answered at cap 3
+    inst = trio()
+    ks = {"c0": 2, "c1": 3, "c2": 5}
+    with pytest.raises(sync.CapExceeded) as exc:
+        optimize_seed(inst, ks, cap=2)
+    with pytest.raises(sync.CapExceeded) as from_ujr:
+        sync.ujr([F(2), F(3), F(5)], cap=2)
+    assert str(exc.value) == str(from_ujr.value)
+    res = optimize_seed(inst, ks, cap=3)
+    assert res.cost == total_cost(inst, res.policy, cap=3)
+    # (2, 4, 8) prunes to one series, so cap 1 answers
+    chain = optimize_seed(inst, {"c0": 2, "c1": 4, "c2": 8}, cap=1)
+    assert chain.cost == total_cost(inst, chain.policy)
 
 
 def test_optimize_seed_interval_validation():
@@ -149,7 +214,8 @@ def test_exhaustive_cap_counts_pruned_multipliers():
 
 def test_exhaustive_counts_each_multiplier_set_once(monkeypatch):
     # the scan takes union counts from sync's integer core, once per
-    # distinct set of multipliers; sync.ujr runs only in the refinement
+    # distinct set of multipliers, and the refinement reads the winner's
+    # breakdown off its seed coefficients: sync.ujr never runs
     calls = {"ujr": 0, "scan_counts": 0}
     refining = []
     ujr, union_count, optimize_seed = (
@@ -178,7 +244,7 @@ def test_exhaustive_counts_each_multiplier_set_once(monkeypatch):
     exhaustive_search(quartet(), (1, 8))
     distinct_sets = {frozenset(ks) for ks in itertools.product(range(1, 9), repeat=4)}
     assert calls["scan_counts"] == len(distinct_sets) == 162
-    assert 1 <= calls["ujr"] <= 2
+    assert calls["ujr"] == 0
 
 
 def test_exhaustive_per_commodity_bounds():
@@ -531,13 +597,43 @@ GRID_64 = (
 
 def test_grid_steps_are_exact_roots():
     assert tuple(_grid_step(j, 64) for j in range(64)) == GRID_64
+    assert tuple(_grid_steps(64)) == GRID_64
     for j, x in enumerate(GRID_64):
         # x - 1/2 < 2^(24 + j/64) < x + 1/2, raised to the 64th power
         assert (2 * x - 1) ** 64 < 2 ** (25 * 64 + j) < (2 * x + 1) ** 64
-    # the float formula the grid used before agrees on every grid up to 256
+    # the root table, the exact search per step and the float formula the
+    # grid used before agree on every grid up to 256
     for grid in range(1, 257):
-        assert [_grid_step(j, grid) for j in range(grid)] \
-            == [round(2 ** (j / grid) * 2 ** 24) for j in range(grid)], grid
+        exact = [_grid_step(j, grid) for j in range(grid)]
+        assert _grid_steps(grid) == exact, grid
+        assert exact == [round(2 ** (j / grid) * 2 ** 24) for j in range(grid)], grid
+    assert _grid_steps(MAX_GRID) == [_grid_step(j, MAX_GRID) for j in range(MAX_GRID)]
+
+
+def test_grid_steps_fall_back_where_the_bounds_straddle(monkeypatch):
+    # with fewer fraction bits the bounds on 2^(P + j/grid) straddle a
+    # rounding boundary at some steps; those steps come from the exact
+    # search, so the table stays exact
+    tables = {grid: [_grid_step(j, grid) for j in range(grid)]
+              for grid in (7, 64, 100, 256)}
+    fallbacks = []
+    exact_step = solve_mod._grid_step
+
+    def counted_step(j, grid):
+        fallbacks.append((j, grid))
+        return exact_step(j, grid)
+
+    monkeypatch.setattr(solve_mod, "_grid_step", counted_step)
+    assert [solve_mod._grid_steps(g) for g in tables] == list(tables.values())
+    assert not fallbacks            # none at the default precision
+    for bits in (40, 32, 28, 25):
+        monkeypatch.setattr(solve_mod, "_ROOT_BITS", bits)
+        fallbacks.clear()
+        for grid, table in tables.items():
+            assert solve_mod._grid_steps(grid) == table, (bits, grid)
+        assert fallbacks, bits
+    # at 25 bits nearly every step but the first is undecided
+    assert len(fallbacks) > sum(len(table) for table in tables.values()) // 2
 
 
 def test_power_of_two_grid_range():
@@ -661,6 +757,10 @@ def test_power_of_two_sweep_matches_reference():
             == [(cid, type(t), t) for cid, t in policy.cycles.items()], case
 
 
+def _pair(q: Fraction) -> tuple[int, int]:
+    return q.numerator, q.denominator
+
+
 def _grid_sq(base: Fraction, step_sq: int) -> Fraction:
     return base * base * F(step_sq, 2 ** (2 * _GRID_BITS))
 
@@ -677,7 +777,8 @@ def test_exponent_falls_at_its_exact_threshold():
             # t^2 just above and just below that at b_j, by half a unit of S_j
             above = exact * F(2 * step_sqs[j] + 1, 2 * step_sqs[j])
             below = exact * F(2 * step_sqs[j] - 1, 2 * step_sqs[j])
-            got = _exponent_falls([exact, above, below], base * base, step_sqs)
+            got = _exponent_falls([_pair(exact), _pair(above), _pair(below)],
+                                  base * base, step_sqs)
             assert got == [(m + 1, j), (m + 1, j + 1), (m + 1, j)], (grid, m, j)
             for t_sq, (m0, fall) in zip((exact, above, below), got):
                 for i in (j - 1, j, min(j + 1, grid - 1)):
@@ -693,13 +794,55 @@ def test_pot_exponent_falls_at_most_once_per_octave():
         step_sqs = [_grid_step(j, grid) ** 2 for j in range(grid)]
         t_sqs = [F(rng.randint(1, 10 ** rng.randint(1, 12)),
                    rng.randint(1, 10 ** rng.randint(1, 12))) for _ in range(4)]
-        falls = _exponent_falls(t_sqs, base * base, step_sqs)
+        falls = _exponent_falls([_pair(t_sq) for t_sq in t_sqs], base * base,
+                                step_sqs)
         for t_sq, (m0, fall) in zip(t_sqs, falls):
             exps = [_pot_exponent(t_sq, _grid_sq(base, s)) for s in step_sqs]
             # never rises, falls by at most one across the octave
             assert all(0 <= a - b <= 1 for a, b in zip(exps, exps[1:]))
             assert exps[0] - exps[-1] <= 1
             assert exps == [m0 - (j >= fall) for j in range(grid)]
+
+
+def _weighted(k0, setups_weights) -> Instance:
+    # lambda = 2 and h = w give the holding weight lambda*h/2 = w
+    return Instance(tuple(Commodity(f"c{i}", F(2), F(w), F(k))
+                          for i, (k, w) in enumerate(setups_weights)), F(k0))
+
+
+def test_cluster_targets_match_the_fraction_oracle():
+    # K0 = 1: c0 and c2 tie at t*^2 = 1 and both join, which makes the
+    # shared square (1 + 2 + 1) / (2 + 1) = 4/3; c1 sits exactly there,
+    # t*^2 = 8/6, and stays out with its own pair
+    inst = _weighted(1, [(2, 2), (8, 6), (1, 1)])
+    targets = _cluster_targets(_scaled_costs(inst))     # D = SB = 1
+    assert targets == [(4, 3), (8, 6), (4, 3)]
+    want = cluster_target_squares(inst)
+    assert [F(p, q) for p, q in targets] == [want[cid] for cid in inst.ids()]
+    # c0 and c1 tie at t*^2 = 1 and both join, over D = 2:
+    # (1 + 6 + 2) / ((3 + 1) * 2) = 9/8; c2 keeps t*^2 = 18/4
+    inst = _weighted(F(1, 2), [(3, 3), (1, 1), (9, 2)])
+    assert _cluster_targets(_scaled_costs(inst)) == [(9, 8), (9, 8), (18, 4)]
+    # t*^2 drawn from a few values, so ties and boundary hits are common
+    rng = random.Random(20261022)
+    at_boundary = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        kw = []
+        for _ in range(n):
+            w = F(rng.randint(1, 3), rng.randint(1, 2))
+            kw.append((w * rng.choice((F(1, 2), F(1), F(3, 2), F(2), F(3))), w))
+        inst = _weighted(rng.choice((F(1, 2), F(1), F(2))), kw)
+        scaled = _scaled_costs(inst)
+        targets = _cluster_targets(scaled)
+        want = cluster_target_squares(inst)
+        assert [F(p, q) for p, q in targets] == [want[cid] for cid in inst.ids()]
+        shared = max(targets)   # the cluster's pair has the largest terms
+        own = [(k * scaled.sb, w * scaled.d)
+               for k, w in zip(scaled.setups, scaled.weights)]
+        at_boundary += any(t == o != shared and F(*o) == F(*shared)
+                           for t, o in zip(targets, own))
+    assert at_boundary > 10
 
 
 def test_repeated_id_is_refused_before_any_solve():
