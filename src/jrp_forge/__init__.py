@@ -24,7 +24,6 @@ from .model import (
     rational_to_decimal,
     save_instance,
     save_policy,
-    validate_instance,
     validate_policy,
 )
 from .eoq import EoqResult, optimal_cycle, sqrt_fraction, standalone_cost, theta_pair

@@ -196,6 +196,8 @@ def cmd_reduce(args) -> int:
     if not shape.ok:
         raise InputError("; ".join(shape.findings))
     output = reduce_formula(formula, _alpha_from_args(args))
+    # rendered first, so a bad --digits is refused before --out is written
+    delta = _q(output.delta, args.digits)
     payload = reduction_to_json(output)
     with open(args.out, "wb") as fh:
         fh.write(payload)
@@ -208,7 +210,7 @@ def cmd_reduce(args) -> int:
         "clauses": len(output.clause_targets),
         "constants": counts["constant"],
         "commodities": len(output.instance.commodities),
-        "delta": _q(output.delta, args.digits),
+        "delta": delta,
         "scheme": CONSTANTS_SCHEME,
     })
     return 0

@@ -8,9 +8,10 @@ the joint setup paid at the union rate:
 The decomposition charges each commodity class its marginal union
 contribution in the fixed order constants -> variables -> clauses.
 
-seed_cost and the exhaustive and power-of-two scans price a multiplier
-profile through one integer helper, _profile_pricer, over the instance's
-costs scaled to integers once by _scaled_costs.
+seed_cost, the exhaustive and power-of-two scans and the roundtrip's
+assignment policies (integer profiles at seed 1) price a multiplier profile
+through one integer helper, _profile_pricer, over the instance's costs
+scaled to integers once by _scaled_costs.
 """
 from __future__ import annotations
 

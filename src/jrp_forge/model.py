@@ -43,7 +43,9 @@ class Instance:
     meta: Optional[Mapping[str, object]] = None
 
     def __post_init__(self) -> None:
-        # a policy maps each id to one cycle, so a repeated id could not be
+        # the solvers' answers hold only for positive costs (a rational's
+        # sign is its numerator's, which is much cheaper to compare); and a
+        # policy maps each id to one cycle, so a repeated id could not be
         # given the cycles its commodities are priced at
         seen: set[str] = set()
         findings = []
@@ -51,6 +53,12 @@ class Instance:
             if c.id in seen:
                 findings.append(f"duplicate commodity id {c.id!r}")
             seen.add(c.id)
+            for name, val in (("demand", c.demand), ("holding", c.holding),
+                              ("setup", c.setup)):
+                if val.numerator <= 0:
+                    findings.append(f"commodity {c.id!r}: {name} must be > 0, got {val}")
+        if self.joint_setup.numerator <= 0:
+            findings.append(f"joint_setup must be > 0, got {self.joint_setup}")
         if findings:
             raise InputError("; ".join(findings))
 
@@ -88,21 +96,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.findings
-
-
-def validate_instance(instance: Instance) -> ValidationReport:
-    """Collect every violated invariant; an empty report means valid."""
-    findings: list[str] = []
-    for c in instance.commodities:
-        if c.demand <= 0:
-            findings.append(f"commodity {c.id!r}: demand must be > 0, got {c.demand}")
-        if c.holding <= 0:
-            findings.append(f"commodity {c.id!r}: holding must be > 0, got {c.holding}")
-        if c.setup <= 0:
-            findings.append(f"commodity {c.id!r}: setup must be > 0, got {c.setup}")
-    if instance.joint_setup <= 0:
-        findings.append(f"joint_setup must be > 0, got {instance.joint_setup}")
-    return ValidationReport(tuple(findings))
 
 
 def validate_policy(instance: Instance, policy: Policy) -> ValidationReport:
@@ -175,8 +168,10 @@ def rational_to_decimal(q: Fraction, digits: int = 12) -> str:
     The exponent e with 10^e <= |q| < 10^(e+1) is estimated from bit lengths
     and corrected by at most a step or two; the mantissa is one divmod of
     |q| * 10^(digits-1-e). A carry that adds a digit (9.99.. -> 10.0) moves
-    the exponent up.
+    the exponent up. Refuses digits below 1.
     """
+    if digits < 1:
+        raise InputError(f"digits must be >= 1, got {digits}")
     if q == 0:
         return "0"
     sign = "-" if q < 0 else ""

@@ -26,9 +26,7 @@ from itertools import product
 from math import isqrt
 from typing import Mapping, Optional, Sequence
 
-from . import sync
-from .cost import decompose, total_cost
-from .eoq import standalone_cost
+from .cost import _profile_pricer, _scaled_costs, decompose, total_cost
 from .model import (
     Commodity,
     CommodityKind,
@@ -514,34 +512,31 @@ class RoundtripReport:
 
 
 class _AssignmentTables:
-    """Integer tables that price one reduction's assignment policies at
-    seed 1 without building a policy.
+    """Price one reduction's assignment policies at seed 1 without building
+    a policy.
 
-    Every standalone term and K0 are put over one common denominator D, so
-    D times an assignment's standalone cost is the anchors' total plus its
-    variables' g at their chosen primes, a sum of plain integers, and the
-    cost is that sum over D plus K0*UJR. At seed 1 every period is an
-    integer, so sync's integer core counts the union of the anchor and
-    clause targets and the chosen primes directly, with no Fraction. A
-    clause is synchronized when a chosen prime divides its target; each
-    clause keeps two bit masks (variable i at bit n-1-i, as in the scan
-    order) of the variables whose high, and whose low, prime divides it.
+    At seed 1 every cycle of an assignment policy is an integer (the anchor
+    and clause targets and the chosen primes), so the policy is a
+    multiplier profile at beta = 1, priced exactly by cost's shared
+    _profile_pricer as a/(D*H) + b/SB. One profile template holds the
+    targets at their commodities' positions and a slot per variable for its
+    chosen prime. A clause is synchronized when a chosen prime divides its
+    target; each clause keeps two bit masks (variable i at bit n-1-i, as in
+    the scan order) of the variables whose high, and whose low, prime
+    divides it.
     """
 
     def __init__(self, output: ReductionOutput, cap: int | None):
         instance = output.instance
-        self.cap = cap
+        self.scaled = _scaled_costs(instance)
+        self.pricer = _profile_pricer(self.scaled, cap)
+        position = {cid: i for i, cid in enumerate(instance.ids())}
+        self.template = [0] * len(position)
+        for cid, target in output.anchor_targets.items():
+            self.template[position[cid]] = target
+        self.slots = tuple(position[output.variable_id(p.index)]
+                           for p in output.pairs)
         self.primes = tuple((p.low, p.high) for p in output.pairs)
-        self.fixed = tuple(output.anchor_targets.values())
-        anchors = sum((standalone_cost(instance.commodity(cid), Fraction(t))
-                       for cid, t in output.anchor_targets.items()), Fraction(0))
-        g = [tuple(standalone_cost(instance.commodity(output.variable_id(p.index)),
-                                   Fraction(q)) for q in (p.low, p.high))
-             for p in output.pairs]
-        ints, self.scale = sync._scale_to_integers(
-            [anchors, instance.joint_setup, *(x for row in g for x in row)])
-        self.anchors, self.k0 = ints[:2]
-        self.g = tuple(zip(ints[2::2], ints[3::2]))     # (low, high) per pair
         bits = [1 << i for i in reversed(range(len(self.primes)))]
         self.clause_masks = tuple(
             (sum(b for b, (_, high) in zip(bits, self.primes) if t % high == 0),
@@ -551,11 +546,12 @@ class _AssignmentTables:
     def price(self, assignment: Sequence[bool]) -> tuple[Fraction, bool]:
         """Exact total cost of the assignment's policy, and whether it
         synchronizes every clause."""
-        periods = set(self.fixed)
-        periods.update(pair[v] for pair, v in zip(self.primes, assignment))
-        count, hyper = sync._int_ujr(periods, self.cap)   # UJR = count / hyper
-        standalone = self.anchors + sum(row[v] for row, v in zip(self.g, assignment))
-        cost = Fraction(standalone * hyper + self.k0 * count, self.scale * hyper)
+        ks = self.template.copy()
+        for slot, pair, v in zip(self.slots, self.primes, assignment):
+            ks[slot] = pair[v]
+        a, b, h = self.pricer(tuple(ks))
+        d, sb = self.scaled.d, self.scaled.sb
+        cost = Fraction(a * sb + b * d * h, d * sb * h)
         mask = 0
         for v in assignment:
             mask = 2 * mask + v
@@ -570,12 +566,13 @@ def verify_roundtrip(formula: CnfFormula,
 
     Scans all 2^n assignment policies at seed 1. The scan covers assignment
     policies only, not the continuous policy space; the report says so.
-    Per-formula integer tables price each assignment and test its clauses
-    from the assignment bits, with no policy built. The report's costs come
-    from at most two rows, the argmin and the cheapest row of the other
-    kind (synchronized or violating); those rows are priced again through
-    assignment_to_policy, total_cost and clause_synchronized, and a
-    disagreement with the tables raises RuntimeError.
+    Per-formula tables price each assignment through cost's integer profile
+    pricer and test its clauses from the assignment bits, with no policy
+    built. The report's costs come from at most two rows, the argmin and the
+    cheapest row of the other kind (synchronized or violating); those rows
+    are priced again through assignment_to_policy, total_cost and
+    clause_synchronized, so a disagreement between the shared pricer and
+    total_cost raises RuntimeError.
     """
     if formula.n_vars > ROUNDTRIP_MAX_VARS:
         raise CapExceeded(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -72,6 +73,20 @@ def test_eval_digits(capsys, single_files):
     doc = json.loads(out)
     assert doc["joint_cost"]["decimal"] == "0.2"
     assert doc["total"]["decimal"] == "10.2"
+
+
+@pytest.mark.parametrize("command", ["eval", "solve", "reduce"])
+def test_digits_below_one_exits_2(capsys, single_files, cnf_file, tmp_path,
+                                  command):
+    ipath, ppath = single_files
+    out_path = tmp_path / "red.json"
+    argv = {"eval": ["eval", ipath, "--policy", ppath],
+            "solve": ["solve", ipath, "--method", "seed"],
+            "reduce": ["reduce", cnf_file, "--out", str(out_path)]}[command]
+    rc, out, err = run(capsys, *argv, "--digits", "0")
+    assert (rc, out) == (2, "")
+    assert "digits must be >= 1, got 0" in err
+    assert not out_path.exists()
 
 
 def test_eval_missing_file(capsys, single_files, tmp_path):
@@ -446,3 +461,41 @@ def test_solve_stdout_matches_golden_digest(capsys, tmp_path, n, seed):
     assert run(capsys, "gen", "--n", str(n), "--rng-seed", str(seed),
                "--out", path)[0] == 0
     assert _golden_digest(capsys, path) == GOLDEN_SOLVE_SHA256[n, seed]
+
+
+def _golden_roundtrip_cnfs() -> list[str]:
+    # seeded random 3-CNF texts with n in {3, 4, 5} and 3n + m <= 20, then
+    # one the union-rate cap refuses: at n = 10 the chosen primes and the
+    # anchors they leave are 20 series, and an unsynchronized clause is one
+    # more, so the first assignment priced exits 3
+    rng = random.Random(20261019)
+    texts = []
+    for _ in range(12):
+        n = rng.choice((3, 4, 5))
+        m = rng.randint(1, 20 - 3 * n)
+        clauses = [" ".join(str(v if rng.random() < 0.5 else -v)
+                            for v in sorted(rng.sample(range(1, n + 1), 3)))
+                   for _ in range(m)]
+        texts.append(f"p cnf {n} {m}\n" + "".join(f"{c} 0\n" for c in clauses))
+    texts.append("p cnf 10 1\n1 2 3 0\n")
+    return texts
+
+
+GOLDEN_ROUNDTRIP_SHA256 = (
+    "586cf4e14844996fd3451a3f0c14d86f792897fe5d0f5b13a077504f4b168e3f")
+
+
+def test_roundtrip_stdout_matches_golden_digest(capsys, tmp_path, monkeypatch):
+    # pins the exact bytes the roundtrip suite prints, the gap rationals
+    # included, so a change to how assignments are priced cannot change them
+    monkeypatch.chdir(tmp_path)     # the file name is part of every row
+    h = hashlib.sha256()
+    rcs = []
+    for i, text in enumerate(_golden_roundtrip_cnfs()):
+        Path(f"f{i}.cnf").write_text(text)
+        rc, out, _ = run(capsys, "check", "--suite", "roundtrip",
+                         "--cnf", f"f{i}.cnf")
+        rcs.append(rc)
+        h.update(f"{rc}\n{out}\0".encode())
+    assert rcs[-1] == 3
+    assert h.hexdigest() == GOLDEN_ROUNDTRIP_SHA256

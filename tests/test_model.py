@@ -21,7 +21,6 @@ from jrp_forge.model import (
     rational_to_decimal,
     save_instance,
     save_policy,
-    validate_instance,
     validate_policy,
 )
 
@@ -141,18 +140,32 @@ def test_rational_to_decimal_carry_adds_a_digit(sign, digits, exp, tail):
     assert F(got) == sign * F(10) ** (exp + digits)
 
 
+@pytest.mark.parametrize("q", [F(0), F(293, 1), F(-1, 3)])
+@pytest.mark.parametrize("digits", [0, -1])
+def test_rational_to_decimal_refuses_digits_below_one(q, digits):
+    with pytest.raises(InputError, match=f"digits must be >= 1, got {digits}"):
+        rational_to_decimal(q, digits)
+
+
 def test_validate_instance_findings():
-    inst = Instance(
-        commodities=(
-            Commodity("a", F(0), F(1), F(1)),
-            Commodity("b", F(1), F(-1), F(1)),
-        ),
-        joint_setup=F(0),
-    )
-    report = validate_instance(inst)
-    assert not report.ok
-    text = "; ".join(report.findings)
-    assert "demand" in text and "holding" in text and "joint_setup" in text
+    # an instance refuses every non-positive cost, all named in one error,
+    # so no solver sees one
+    with pytest.raises(InputError) as exc:
+        Instance(
+            commodities=(
+                Commodity("a", F(0), F(1), F(1)),
+                Commodity("b", F(1), F(-1), F(1)),
+                Commodity("c", F(1), F(1), F(0)),
+            ),
+            joint_setup=F(0),
+        )
+    assert str(exc.value) == ("commodity 'a': demand must be > 0, got 0; "
+                              "commodity 'b': holding must be > 0, got -1; "
+                              "commodity 'c': setup must be > 0, got 0; "
+                              "joint_setup must be > 0, got 0")
+    # int costs are rationals too
+    with pytest.raises(InputError, match=r"^commodity 'a': setup must be > 0, got -3$"):
+        Instance((Commodity("a", 2, 1, -3),), 1)
     # a repeated id is refused when the instance is built, and a document
     # that repeats ids is refused with one finding per repeat
     with pytest.raises(InputError, match=r"^duplicate commodity id 'a'$"):

@@ -607,6 +607,22 @@ def test_assignment_tables_price_every_assignment(n, clauses):
         assert [t.price(assignment)[1] for t in singles] == per_clause
 
 
+def test_assignment_tables_price_by_id_not_position():
+    # a reduced document with its commodities listed in reverse loads to an
+    # instance whose positions differ from reduce_formula's; the tables
+    # place every target and chosen prime by commodity id
+    formula = CnfFormula(4, ((1, 2, 3), (-2, -3, -4), (1, -3, 4)))
+    doc = json.loads(reduction_to_json(reduce_formula(formula)))
+    doc["commodities"].reverse()
+    out = reduction_from_json(json.dumps(doc))
+    assert out.instance.ids()[0] == "z3"
+    tables = _AssignmentTables(out, None)
+    for assignment in product((False, True), repeat=4):
+        policy = assignment_to_policy(out, assignment)
+        cost, _synced = tables.price(assignment)
+        assert cost == total_cost(out.instance, policy).total
+
+
 def test_roundtrip_reprices_its_reported_rows(monkeypatch):
     formula = CnfFormula(3, CORPUS["mixed4"])
     price = _AssignmentTables.price
