@@ -8,7 +8,8 @@ number:
   `_IE_LEAF` periods on a coprime base and counts the small leaves by IE.
 
 The workloads mirror real usage: the pruned period sets of 3SAT reductions
-(one per assignment) and random composite sets. Then a table by candidate
+(one per assignment) and random composite sets, each a sorted antichain as
+`union_count` requires and sync passes. Then a table by candidate
 `_IE_LEAF` value times the dispatcher on the reduction workload, and a table
 by set size compares IE with one split (`_kernels._split_count`). Together
 they set `_IE_LEAF`.
@@ -36,8 +37,8 @@ CROSSOVER_SIZES = range(5, 15)
 
 
 def _drop_multiples(periods: list[int]) -> list[int]:
-    # a period divisible by another adds no epochs; sync prunes them before
-    # every call
+    # a period divisible by another adds no epochs; union_count takes sorted
+    # antichains, so sync prunes before every call and so does this
     return [p for p in periods if not any(q != p and p % q == 0 for q in periods)]
 
 

@@ -60,9 +60,10 @@ def _ie(ps, hyper):
 def union_count(periods, hyper):
     """|union of multiples of each period in (0, hyper]|, exactly.
 
-    Preconditions (caller-enforced): positive integers, each dividing hyper.
-    Duplicates and periods that divide another are counted correctly, but
-    callers prune them first.
+    Preconditions (caller-enforced): a sorted antichain of positive
+    integers, each dividing hyper: no duplicates and no period dividing
+    another, as sync's callers leave them after _absorb. The split counts
+    the set as given, without pruning it again.
     """
     ps = list(periods)
     if len(ps) <= _IE_LEAF:
@@ -71,10 +72,10 @@ def union_count(periods, hyper):
 
 
 def _split_count(ps, hyper):
-    """union_count through the coprime-base split, at any set size."""
-    kept = _absorb(ps)
-    own = lcm(*kept)
-    missed = _uncovered(tuple(kept), own, _coprime_base(kept), {})
+    """union_count through the coprime-base split, at any set size, for a
+    sorted antichain ps."""
+    own = lcm(*ps)
+    missed = _uncovered(tuple(ps), own, _coprime_base(ps), {})
     return hyper - missed * (hyper // own)
 
 

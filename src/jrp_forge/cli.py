@@ -196,8 +196,6 @@ def cmd_reduce(args) -> int:
     if not shape.ok:
         raise InputError("; ".join(shape.findings))
     output = reduce_formula(formula, _alpha_from_args(args))
-    # rendered first, so a bad --digits is refused before --out is written
-    delta = _q(output.delta, args.digits)
     payload = reduction_to_json(output)
     with open(args.out, "wb") as fh:
         fh.write(payload)
@@ -210,7 +208,7 @@ def cmd_reduce(args) -> int:
         "clauses": len(output.clause_targets),
         "constants": counts["constant"],
         "commodities": len(output.instance.commodities),
-        "delta": delta,
+        "delta": _q(output.delta, args.digits),
         "scheme": CONSTANTS_SCHEME,
     })
     return 0
@@ -250,6 +248,8 @@ def _row(name: str, ok: bool, lhs: str, rhs: str) -> dict:
 
 
 def _suite_lemmas(args) -> list[dict]:
+    if args.r_max < 2:      # no fraction q/r with 1 <= q < r to check
+        raise InputError(f"--r-max must be >= 2, got {args.r_max}")
     checks: list[dict] = []
     output = reduce_formula(CnfFormula(args.n, ()))
     inst = output.instance
@@ -365,6 +365,8 @@ def _random_instance(rng: random.Random, n: int) -> Instance:
 
 
 def _suite_pot_ratio(args) -> list[dict]:
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     rng = random.Random(args.rng_seed)
     worst = Fraction(0)
     failures = 0
@@ -405,6 +407,8 @@ def cmd_gen(args) -> int:
         raise InputError(f"--k-range must be LO:HI integers, got {args.k_range!r}")
     if lo < 1 or hi < lo:
         raise InputError(f"--k-range must satisfy 1 <= LO <= HI, got {args.k_range!r}")
+    if args.n < 1:
+        raise InputError(f"--n must be >= 1, got {args.n}")
     rng = random.Random(args.rng_seed)
     commodities = []
     for i in range(args.n):
@@ -516,6 +520,10 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
+        # checked once here, so a bad value is refused before any work
+        digits = getattr(args, "digits", None)
+        if digits is not None and digits < 1:
+            raise InputError(f"digits must be >= 1, got {digits}")
         return args.func(args)
     except ConfigRejected as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)

@@ -8,13 +8,14 @@ cost._profile_pricer: a*b over each profile's hyperperiod lcm(ks), with no
 Fraction and no square root until the winning seed is refined. The
 refinement, optimize_seed, reads the cost breakdown off the seed
 coefficients (A, B) and the union count of the multipliers instead of
-repricing the policy. power_of_two rounds to exponents by integer bit
-lengths, from targets that are integer pairs over the pricer's scaled
-costs, and takes its base grid of exactly rounded roots from one integer
-root carried with error bounds. Across the octave of grid bases each
-exponent falls at most once, so it is rounded once and the step where it
-falls is found by bisection: O(n log grid) integer work plus one pricing
-per distinct pattern.
+repricing the policy. power_of_two rounds to exponents by one rule on
+integer bit lengths, at a fixed base and on the optimized grid alike, from
+targets that are integer pairs over the pricer's scaled costs, and takes
+its base grid of exactly rounded roots from one integer root carried with
+error bounds. Across the octave of grid bases each exponent falls at most
+once, so it is rounded once and the step where it falls is found by
+bisection: O(n log grid) integer work plus one pricing per distinct
+pattern.
 coordinate_descent prices each trial move incrementally and in plain
 integers: only the moved cycle's standalone cost and the union rate change,
 the other cycles are scaled and pruned once per commodity, and each trial
@@ -345,54 +346,27 @@ def _ceil_log2(p: int, q: int) -> int:
     return e if fits else e + 1
 
 
-def _pot_exponent(t_sq: Fraction, base_sq: Fraction) -> int:
-    """m with base*2^m in [t/sqrt(2), t*sqrt(2)), from t^2 and base^2.
-
-    m is the smallest integer with r = t^2/base^2 <= 2*4^m. For a
-    commodity's standalone optimum t* this is the exact g-minimizing
-    exponent, ties going to the smaller m: g(x) <= g(2x) iff x^2 >= t*^2/2.
-    """
-    return _ceil_log2(t_sq.numerator * base_sq.denominator,
-                      t_sq.denominator * base_sq.numerator) // 2
-
-
 _GRID_BITS = 24     # power_of_two's base grid steps are multiples of 2^-24
 # _grid_steps takes the table from one root, by integer Newton on a number
 # of about 80*grid bits, then two 80-bit products per step: 0.03-0.06 ms at
-# 64 steps and 1.2-1.8 ms at 1024 on a 2-vCPU VM, where _grid_step at every
-# step took 0.13-0.23 ms and 0.16-0.24 s
+# 64 steps and 1.2-1.8 ms at 1024 on a 2-vCPU VM. At _ROOT_BITS the bounds
+# decide every step of every grid up to MAX_GRID, which a test runs in full;
+# a larger MAX_GRID needs that test to pass at the new size.
 MAX_GRID = 1024
 _ROOT_BITS = 80     # fraction bits of the root _grid_steps carries
 
 
-def _grid_step(j: int, grid: int) -> int:
-    """round(2**(24 + j/grid)) exactly, without libm.
-
-    The result x is the integer with (2x-1)^grid <= 2^(25*grid + j)
-    < (2x+1)^grid; the root is never a half-integer, so no tie arises. The
-    float only picks where the search starts: the loops make the result
-    exact whatever libm returns.
-    """
-    k = grid * (_GRID_BITS + 1) + j
-    x = round(2 ** (j / grid) * 2 ** _GRID_BITS)
-    # the powers of odd 2x+-1 are never 2^k, so bit lengths decide exactly
-    while ((2 * x + 1) ** grid).bit_length() <= k:
-        x += 1
-    while ((2 * x - 1) ** grid).bit_length() > k:
-        x -= 1
-    return x
-
-
 def _grid_steps(grid: int) -> list[int]:
-    """[_grid_step(j, grid) for j in range(grid)], from one root.
+    """round(2**(24 + j/grid)) for j in range(grid), exactly, from one root.
 
     With P = _ROOT_BITS, r = floor(2^(P + 1/grid)) is the integer grid-th
     root of 2^(P*grid + 1), by integer Newton. Bounds lo <= 2^(P + j/grid)
     <= hi are carried from lo = hi = 2^P, times r floored and times r + 1
     ceiled back to P bits at each step. Step j rounds 2^(P + j/grid) to a
     multiple of 2^(P - 24), and 2^(24 + j/grid) is never a half-integer, so
-    the step is decided when lo and hi round alike; otherwise _grid_step
-    decides it. The float only seeds Newton: one step from any positive
+    the step is decided when lo and hi round alike. Where they do not, the
+    table is refused with RuntimeError; at P = 80 that happens on no grid
+    up to MAX_GRID. The float only seeds Newton: one step from any positive
     start lands at or above the root, and the iteration then falls to it.
     """
     p = _ROOT_BITS
@@ -414,23 +388,33 @@ def _grid_steps(grid: int) -> list[int]:
             hi = -(-hi * (r + 1) >> p)
         step = (lo + half) >> shift
         if (hi + half) >> shift != step:
-            step = _grid_step(j, grid)
+            raise RuntimeError(
+                f"root table for grid {grid}: the bounds at step {j} "
+                f"straddle a rounding boundary")
         steps.append(step)
     return steps
 
 
 def _exponent_falls(t_sqs: Iterable[tuple[int, int]], base_sq: Fraction,
                     step_sqs: list[int]) -> list[tuple[int, int]]:
-    """(m0, fall) per target: its exponent over one octave of grid bases.
+    """(m0, fall) per target: its exponent at base and over one octave of
+    grid bases above it.
+
+    A target t's exponent at a base b is the m with b*2^m in
+    [t/sqrt(2), t*sqrt(2)): the smallest integer m with t^2/b^2 <= 2*4^m.
+    For a commodity's standalone optimum t* this is the exact g-minimizing
+    exponent, ties going to the smaller m: g(x) <= g(2x) iff
+    x^2 >= t*^2/2. m0 is the exponent at b = base, from bit lengths.
 
     Each target's square comes as positive integers (tp, tq), t^2 = tp/tq.
     With S_j = step_sqs[j] increasing from S_0 = 2^48 and S_j/S_0 < 4, the
     grid base b_j = base*sqrt(S_j)/2^24 has b_j^2 = base^2*S_j/2^48. The
-    exponent _pot_exponent(t^2, b_j^2) is m0 at every step j < fall and
-    m0 - 1 from step fall on; fall = len(step_sqs) when it never falls. It
-    is the smallest m with p*2^48 <= q*S_j*2*4^m (t^2/base^2 = p/q), so it
-    is below m0 exactly where S_j >= p*2^48 / (q*2^(2*m0 - 1)), and
-    S_j < 4*S_0 keeps it above m0 - 2.
+    exponent at b_j is m0 at every step j < fall and m0 - 1 from step fall
+    on; fall = len(step_sqs) when it never falls, so with no steps only m0
+    is read. It is the smallest m with p*2^48 <= q*S_j*2*4^m
+    (t^2/base^2 = p/q), so it is below m0 exactly where
+    S_j >= p*2^48 / (q*2^(2*m0 - 1)), and S_j < 4*S_0 keeps it above
+    m0 - 2.
     """
     bn, bd = base_sq.numerator, base_sq.denominator
     out = []
@@ -486,8 +470,10 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     """Restrict every cycle to base*2^m with integer m.
 
     With a fixed base each commodity's exponent minimizes its standalone
-    cost exactly (rounding log2(t*/base), half-points rounding down), found
-    from bit lengths of t*^2/base^2. With optimize_base=True, `grid` bases
+    cost exactly (rounding log2(t*/base), half-points rounding down): it is
+    _exponent_falls' m0 for t*^2 as an integer pair over the pricer's
+    scaled costs, and the policy is priced by total_cost; `grid` is not
+    read. With optimize_base=True, `grid` bases
     base * round(2^(j/grid)) (to 24 bits, exactly rounded integer roots)
     spanning one octave above `base` are tried; for each base two exponent
     patterns are formed — one rounding the standalone optima, one rounding
@@ -515,26 +501,24 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     base = Fraction(base)
     if base <= 0:
         raise InputError(f"base must be > 0, got {base}")
+    ids = instance.ids()
+    scaled = _scaled_costs(instance)
+    # t*^2 = K/w with w = lambda*h/2, over D and SB
+    standalone_sqs = [(s * scaled.sb, w * scaled.d)
+                      for s, w in zip(scaled.setups, scaled.weights)]
 
     if not optimize_base:
-        base_sq = base * base
-        # t*^2 = K/w with w = lambda*h/2
-        cycles = {c.id: base * Fraction(2) ** _pot_exponent(
-                      c.setup / (c.demand * c.holding / 2), base_sq)
-                  for c in instance.commodities}
-        policy = Policy(cycles)
+        policy = Policy({cid: base * Fraction(2) ** m0 for cid, (m0, _)
+                         in zip(ids, _exponent_falls(standalone_sqs,
+                                                     base * base, []))})
         return SolveResult(policy, total_cost(instance, policy, cap=cap),
-                           f"pot(base={base})", len(cycles),
+                           f"pot(base={base})", len(ids),
                            time.perf_counter() - t0)
 
     if grid < 1:
         raise InputError(f"grid must be >= 1, got {grid}")
     if grid > MAX_GRID:
         raise InputError(f"grid must be <= {MAX_GRID}, got {grid}")
-    ids = instance.ids()
-    scaled = _scaled_costs(instance)
-    standalone_sqs = [(s * scaled.sb, w * scaled.d)
-                      for s, w in zip(scaled.setups, scaled.weights)]
     step_sqs = [x * x for x in _grid_steps(grid)]
     # per list: the exponents at j = 0, and the commodities whose exponent
     # falls by one at each later step j

@@ -3,11 +3,14 @@
 Everything here is deliberately implemented differently from the package:
 set-based epoch counting instead of inclusion-exclusion, float golden-section
 search instead of the closed form, reversed-order clause evaluation,
-Fraction loops for decimal rendering and power-of-two cluster targets where
-the package uses integers, and sympy's primality test. None of it imports package internals beyond types,
-except reference_descent and reference_roundtrip, which price every trial
-through the public total_cost, and reference_power_of_two, which ranks every
-pattern through the public seed_cost.
+Fraction loops for decimal rendering, power-of-two exponents and cluster
+targets where the package uses integers, an exact search per grid step
+where the package carries one root, and sympy's primality test. None of it
+imports package internals beyond types, except reference_descent and
+reference_roundtrip, which price every trial through the public total_cost,
+reference_fixed_power_of_two, which prices its policy the same way, and
+reference_power_of_two, which ranks every pattern through the public
+seed_cost.
 """
 from __future__ import annotations
 
@@ -284,6 +287,61 @@ def cluster_target_squares(instance) -> dict:
             for i, cid in enumerate(order)}
 
 
+def pot_exponent(t_sq: Fraction, base_sq: Fraction) -> int:
+    """m with base*2^m in [t/sqrt(2), t*sqrt(2)), from t^2 and base^2.
+
+    The smallest integer m with t^2/base^2 <= 2*4^m, found by stepping m
+    over Fraction comparisons from a bit-length guess.
+    """
+    r = t_sq / base_sq
+    m = (r.numerator.bit_length() - r.denominator.bit_length()) // 2
+    while r > 2 * Fraction(4) ** m:
+        m += 1
+    while r <= 2 * Fraction(4) ** (m - 1):
+        m -= 1
+    return m
+
+
+GRID_BITS = 24      # the grid steps are multiples of 2^-24
+
+
+def grid_step(j: int, grid: int) -> int:
+    """round(2**(24 + j/grid)) exactly, by a search per step, without libm.
+
+    The result x is the integer with (2x-1)^grid <= 2^(25*grid + j)
+    < (2x+1)^grid; the root is never a half-integer, so no tie arises. The
+    float only picks where the search starts: the loops make the result
+    exact whatever libm returns.
+    """
+    k = grid * (GRID_BITS + 1) + j
+    x = round(2 ** (j / grid) * 2 ** GRID_BITS)
+    # the powers of odd 2x+-1 are never 2^k, so bit lengths decide exactly
+    while ((2 * x + 1) ** grid).bit_length() <= k:
+        x += 1
+    while ((2 * x - 1) ** grid).bit_length() > k:
+        x -= 1
+    return x
+
+
+def reference_fixed_power_of_two(instance, base: Fraction = Fraction(1),
+                                 cap: int | None = None):
+    """power_of_two at a fixed base, with Fraction targets.
+
+    Each cycle is base*2^m with m = pot_exponent(t*^2, base^2) and
+    t*^2 = K / (lambda*h/2); the policy is priced by the public total_cost.
+    Returns (policy, cost breakdown, method, nodes explored).
+    """
+    from jrp_forge.cost import total_cost
+    from jrp_forge.model import Policy
+
+    base = Fraction(base)
+    policy = Policy({c.id: base * Fraction(2) ** pot_exponent(
+                         c.setup / (c.demand * c.holding / 2), base * base)
+                     for c in instance.commodities})
+    return (policy, total_cost(instance, policy, cap=cap), f"pot(base={base})",
+            len(policy.cycles))
+
+
 def reference_power_of_two(instance, base: Fraction = Fraction(1),
                            grid: int = 64, cap: int | None = None):
     """power_of_two(optimize_base=True) ranked with Fraction coefficients.
@@ -296,7 +354,7 @@ def reference_power_of_two(instance, base: Fraction = Fraction(1),
     """
     from jrp_forge.cost import seed_cost
     from jrp_forge.model import SeedProfile
-    from jrp_forge.solve import _GRID_BITS, _grid_step, _pot_exponent, optimize_seed
+    from jrp_forge.solve import optimize_seed
 
     ids = instance.ids()
     targets = cluster_target_squares(instance)
@@ -307,9 +365,9 @@ def reference_power_of_two(instance, base: Fraction = Fraction(1),
     best: Fraction | None = None
     best_profile: dict[str, int] | None = None
     for j in range(grid):
-        b_j = Fraction(base) * Fraction(_grid_step(j, grid), 2 ** _GRID_BITS)
+        b_j = Fraction(base) * Fraction(grid_step(j, grid), 2 ** GRID_BITS)
         for sqs in (standalone_sqs, target_sqs):
-            exps = [_pot_exponent(t_sq, b_j * b_j) for t_sq in sqs]
+            exps = [pot_exponent(t_sq, b_j * b_j) for t_sq in sqs]
             ks = tuple(2 ** (m - min(exps)) for m in exps)
             if ks in seen:
                 continue

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import jrp_forge
+from jrp_forge import cli
 from jrp_forge.cli import main
 from jrp_forge.model import (
     Commodity,
@@ -76,12 +77,21 @@ def test_eval_digits(capsys, single_files):
 
 
 @pytest.mark.parametrize("command", ["eval", "solve", "reduce"])
-def test_digits_below_one_exits_2(capsys, single_files, cnf_file, tmp_path,
-                                  command):
+def test_digits_below_one_exits_2(capsys, monkeypatch, single_files, cnf_file,
+                                  tmp_path, command):
+    # refused before any work: the evaluator, solvers and reduction fail if
+    # they are called at all
+    def never(*args, **kwargs):
+        raise AssertionError("called before --digits was checked")
+
+    for name in ("total_cost", "decompose", "exhaustive_search",
+                 "power_of_two", "coordinate_descent", "optimize_seed",
+                 "reduce_formula"):
+        monkeypatch.setattr(cli, name, never)
     ipath, ppath = single_files
     out_path = tmp_path / "red.json"
     argv = {"eval": ["eval", ipath, "--policy", ppath],
-            "solve": ["solve", ipath, "--method", "seed"],
+            "solve": ["solve", ipath, "--method", "exhaustive"],
             "reduce": ["reduce", cnf_file, "--out", str(out_path)]}[command]
     rc, out, err = run(capsys, *argv, "--digits", "0")
     assert (rc, out) == (2, "")
@@ -355,6 +365,33 @@ def test_gen_writes_loadable_instance(capsys, tmp_path):
 def test_gen_bad_range(capsys):
     rc, _, err = run(capsys, "gen", "--n", "2", "--k-range", "9")
     assert rc == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gen_refuses_n_below_one(capsys, tmp_path, n):
+    out_path = tmp_path / "gen.json"
+    rc, out, err = run(capsys, "gen", "--n", n, "--out", str(out_path))
+    assert (rc, out) == (2, "")
+    assert f"--n must be >= 1, got {n}" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_pot_ratio_refuses_trials_below_one(capsys, trials):
+    # no trial run is no evidence: the suite must not pass on it
+    rc, out, err = run(capsys, "check", "--suite", "pot-ratio",
+                       "--trials", trials)
+    assert (rc, out) == (2, "")
+    assert f"--trials must be >= 1, got {trials}" in err
+
+
+@pytest.mark.parametrize("r_max", ["1", "0", "-4"])
+def test_check_lemmas_refuses_r_max_below_two(capsys, r_max):
+    # below 2 the cross-seed-bound row has no fraction q/r to check
+    rc, out, err = run(capsys, "check", "--suite", "lemmas",
+                       "--r-max", r_max)
+    assert (rc, out) == (2, "")
+    assert f"--r-max must be >= 2, got {r_max}" in err
 
 
 _IN_ONE_PROCESS = """

@@ -45,9 +45,9 @@ def _subset_oracle(periods, hyper):
 
 def _reduction_n3_periods():
     # unpruned period sets of a 3-variable reduction, one per assignment;
-    # some sets hold a period and one of its multiples, which both the
-    # inclusion-exclusion and the split count exactly all the same. Their
-    # hyperperiod is about 2.9e8, too long to enumerate.
+    # every set holds a period and one of its multiples, which sync prunes
+    # before it counts. Their hyperperiod is about 2.9e8, too long to
+    # enumerate.
     pairs = [(11, 13), (17, 19), (29, 31)]
     cases = []
     for pick in range(8):
@@ -240,15 +240,16 @@ def test_split_on_composite_base_elements():
         assert _kernels.union_count(periods, hyper) == _kernels._ie(periods, hyper)
 
 
-def test_split_absorbs_unpruned_periods():
-    # duplicates and multiples are allowed: the split absorbs them first
+def test_split_counts_pruned_reduction_sets_below_the_leaf():
+    # union_count takes sorted antichains, so the sets go in pruned; pruned
+    # they fit a leaf, so the split is called directly as well
     for periods in _reduction_n3_periods():
+        pruned = _normalize(periods)
         hyper = _lcm_all(periods)
-        assert len(periods) > _kernels._IE_LEAF
+        assert len(pruned) <= _kernels._IE_LEAF < len(periods)
         expected = _subset_oracle(periods, hyper)
-        assert _kernels._ie(periods, hyper) == expected
-        assert _kernels.union_count(periods, hyper) == expected
-        assert _kernels.union_count(periods + periods[:2], hyper) == expected
+        assert _kernels._split_count(pruned, hyper) == expected
+        assert _kernels.union_count(pruned, hyper) == expected
 
 
 def test_split_counts_leaves_past_int64_exactly():

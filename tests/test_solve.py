@@ -19,9 +19,7 @@ from jrp_forge.solve import (
     MAX_GRID,
     _cluster_targets,
     _exponent_falls,
-    _grid_step,
     _grid_steps,
-    _pot_exponent,
     coordinate_descent,
     default_candidates,
     exhaustive_search,
@@ -32,7 +30,10 @@ from jrp_forge.solve import (
 from .oracles import (
     cluster_target_squares,
     exhaustive_argmin,
+    grid_step,
+    pot_exponent,
     reference_descent,
+    reference_fixed_power_of_two,
     reference_power_of_two,
 )
 
@@ -551,6 +552,19 @@ def test_descent_does_not_depend_on_candidate_order():
         assert all(got == first for got in others), n
 
 
+def _with_target(t_sq: Fraction) -> Instance:
+    # lambda = 2 and h = 1 give the holding weight 1, so t*^2 = K
+    return Instance((Commodity("a", F(2), F(1), t_sq),), F(1))
+
+
+def _fixed_exponent(instance: Instance, base: Fraction) -> int:
+    """m of the cycle base*2^m that power_of_two gives the first commodity."""
+    q = power_of_two(instance, base=base).policy.cycles[instance.ids()[0]] / base
+    m = q.numerator.bit_length() - q.denominator.bit_length()
+    assert q == F(2) ** m
+    return m
+
+
 def test_pot_exponent_matches_cost_comparison():
     rng = random.Random(99)
     signs = Counter()
@@ -559,25 +573,52 @@ def test_pot_exponent_matches_cost_comparison():
                       F(rng.randint(1, 50), rng.randint(1, 9)),
                       F(rng.randint(1, 10**4), rng.randint(1, 40)))
         base = F(rng.randint(1, 10**4), rng.randint(1, 10**3))
-        t_sq = 2 * c.setup / (c.demand * c.holding)
-        m = _pot_exponent(t_sq, base * base)
+        m = _fixed_exponent(Instance((c,), F(1)), base)
         # the g-minimizing exponent, ties to the smaller m
         costs = {e: standalone_cost(c, base * F(2) ** e) for e in range(m - 3, m + 4)}
         assert min(costs, key=lambda e: (costs[e], e)) == m
         # base*2^m in [t/sqrt(2), t*sqrt(2)), in squares, for t^2 = t_sq and
         # for a joint-setup target of another rational square
+        t_sq = 2 * c.setup / (c.demand * c.holding)
         target_sq = t_sq * F(rng.randint(1, 20), rng.randint(1, 20))
         for sq in (t_sq, target_sq):
-            e = _pot_exponent(sq, base * base)
+            e = _fixed_exponent(_with_target(sq), base)
             x_sq = (base * F(2) ** e) ** 2
             assert sq / 2 <= x_sq < 2 * sq
+            assert e == pot_exponent(sq, base * base)
         signs[(m > 0) - (m < 0)] += 1
     assert signs[-1] > 50 and signs[1] > 50 and signs[0] > 0
     # exact half-points go down: x = base*2^m with x^2 = t^2/2 is kept, so
     # x^2 = 2*t^2 is not
-    assert _pot_exponent(F(8), F(1)) == 1           # x = 2, x^2 = 4
-    assert _pot_exponent(F(1, 8), F(1)) == -2       # x = 1/4, x^2 = 1/16
-    assert _pot_exponent(F(1, 2), F(1)) == -1       # not x = 1, x^2 = 1
+    assert _fixed_exponent(_with_target(F(8)), F(1)) == 1      # x = 2, x^2 = 4
+    assert _fixed_exponent(_with_target(F(1, 8)), F(1)) == -2  # x^2 = 1/16
+    assert _fixed_exponent(_with_target(F(1, 2)), F(1)) == -1  # not x^2 = 1
+
+
+def test_power_of_two_fixed_base_matches_fraction_reference():
+    # the fixed base rounds integer pairs over the scaled costs; the oracle
+    # rounds Fraction targets, so cycles, their types, the breakdown, the
+    # method and the node count must all agree
+    rng = random.Random(20261023)
+    bases = (F(1), F(5, 4), F(3, 7), F(7, 3), F(1, 1000), F(1000))
+    for i in range(60):
+        n = rng.randint(1, 16)
+        if i % 2:
+            inst = _random_instance(rng, n)
+        else:   # rational costs, standalone optima several octaves apart
+            inst = Instance(tuple(
+                Commodity(f"c{j}", F(rng.randint(1, 8), rng.randint(1, 3)),
+                          F(rng.randint(1, 30), rng.randint(1, 8)),
+                          F(rng.randint(1, 10 ** rng.randint(1, 6)),
+                            rng.randint(1, 40)))
+                for j in range(n)), F(rng.randint(1, 50), rng.randint(1, 3)))
+        for base in bases:
+            res = power_of_two(inst, base=base)
+            policy, cost, method, nodes = reference_fixed_power_of_two(inst, base)
+            assert [(cid, type(t), t) for cid, t in res.policy.cycles.items()] \
+                == [(cid, type(t), t) for cid, t in policy.cycles.items()], (i, base)
+            assert (res.cost, res.method, res.nodes_explored) \
+                == (cost, method, nodes), (i, base)
 
 
 # round(2**(24 + j/64)) for j = 0..63, the default grid of power_of_two
@@ -596,7 +637,7 @@ GRID_64 = (
 
 
 def test_grid_steps_are_exact_roots():
-    assert tuple(_grid_step(j, 64) for j in range(64)) == GRID_64
+    assert tuple(grid_step(j, 64) for j in range(64)) == GRID_64
     assert tuple(_grid_steps(64)) == GRID_64
     for j, x in enumerate(GRID_64):
         # x - 1/2 < 2^(24 + j/64) < x + 1/2, raised to the 64th power
@@ -604,36 +645,25 @@ def test_grid_steps_are_exact_roots():
     # the root table, the exact search per step and the float formula the
     # grid used before agree on every grid up to 256
     for grid in range(1, 257):
-        exact = [_grid_step(j, grid) for j in range(grid)]
+        exact = [grid_step(j, grid) for j in range(grid)]
         assert _grid_steps(grid) == exact, grid
         assert exact == [round(2 ** (j / grid) * 2 ** 24) for j in range(grid)], grid
-    assert _grid_steps(MAX_GRID) == [_grid_step(j, MAX_GRID) for j in range(MAX_GRID)]
+    assert _grid_steps(MAX_GRID) == [grid_step(j, MAX_GRID) for j in range(MAX_GRID)]
 
 
-def test_grid_steps_fall_back_where_the_bounds_straddle(monkeypatch):
-    # with fewer fraction bits the bounds on 2^(P + j/grid) straddle a
-    # rounding boundary at some steps; those steps come from the exact
-    # search, so the table stays exact
-    tables = {grid: [_grid_step(j, grid) for j in range(grid)]
-              for grid in (7, 64, 100, 256)}
-    fallbacks = []
-    exact_step = solve_mod._grid_step
+def test_grid_steps_decide_every_accepted_grid():
+    # the root's bounds decide every step of every grid up to MAX_GRID, so
+    # no table raises; raising MAX_GRID needs this to pass at the new size
+    for grid in range(1, MAX_GRID + 1):
+        assert len(_grid_steps(grid)) == grid
 
-    def counted_step(j, grid):
-        fallbacks.append((j, grid))
-        return exact_step(j, grid)
 
-    monkeypatch.setattr(solve_mod, "_grid_step", counted_step)
-    assert [solve_mod._grid_steps(g) for g in tables] == list(tables.values())
-    assert not fallbacks            # none at the default precision
-    for bits in (40, 32, 28, 25):
-        monkeypatch.setattr(solve_mod, "_ROOT_BITS", bits)
-        fallbacks.clear()
-        for grid, table in tables.items():
-            assert solve_mod._grid_steps(grid) == table, (bits, grid)
-        assert fallbacks, bits
-    # at 25 bits nearly every step but the first is undecided
-    assert len(fallbacks) > sum(len(table) for table in tables.values()) // 2
+def test_grid_steps_refuse_a_straddle(monkeypatch):
+    # with 25 fraction bits the bounds on 2^(P + j/grid) straddle a rounding
+    # boundary at nearly every step; the table is refused, not guessed
+    monkeypatch.setattr(solve_mod, "_ROOT_BITS", 25)
+    with pytest.raises(RuntimeError, match=r"grid 64\b.* step [1-9]"):
+        solve_mod._grid_steps(64)
 
 
 def test_power_of_two_grid_range():
@@ -768,7 +798,7 @@ def _grid_sq(base: Fraction, step_sq: int) -> Fraction:
 def test_exponent_falls_at_its_exact_threshold():
     rng = random.Random(7)
     for grid in (2, 3, 7, 64, 100):
-        step_sqs = [_grid_step(j, grid) ** 2 for j in range(grid)]
+        step_sqs = [grid_step(j, grid) ** 2 for j in range(grid)]
         for m in range(-30, 31, 3):     # 2*m0 - 1 on both sides of 48
             base = rng.choice((F(1), F(3, 2), F(5, 7), F(7)))
             j = rng.randint(1, grid - 1)
@@ -782,7 +812,7 @@ def test_exponent_falls_at_its_exact_threshold():
             assert got == [(m + 1, j), (m + 1, j + 1), (m + 1, j)], (grid, m, j)
             for t_sq, (m0, fall) in zip((exact, above, below), got):
                 for i in (j - 1, j, min(j + 1, grid - 1)):
-                    assert _pot_exponent(t_sq, _grid_sq(base, step_sqs[i])) \
+                    assert pot_exponent(t_sq, _grid_sq(base, step_sqs[i])) \
                         == m0 - (i >= fall)
 
 
@@ -791,13 +821,13 @@ def test_pot_exponent_falls_at_most_once_per_octave():
     for _ in range(60):
         grid = rng.randint(1, 256)
         base = F(rng.randint(1, 50), rng.randint(1, 50))
-        step_sqs = [_grid_step(j, grid) ** 2 for j in range(grid)]
+        step_sqs = [grid_step(j, grid) ** 2 for j in range(grid)]
         t_sqs = [F(rng.randint(1, 10 ** rng.randint(1, 12)),
                    rng.randint(1, 10 ** rng.randint(1, 12))) for _ in range(4)]
         falls = _exponent_falls([_pair(t_sq) for t_sq in t_sqs], base * base,
                                 step_sqs)
         for t_sq, (m0, fall) in zip(t_sqs, falls):
-            exps = [_pot_exponent(t_sq, _grid_sq(base, s)) for s in step_sqs]
+            exps = [pot_exponent(t_sq, _grid_sq(base, s)) for s in step_sqs]
             # never rises, falls by at most one across the octave
             assert all(0 <= a - b <= 1 for a, b in zip(exps, exps[1:]))
             assert exps[0] - exps[-1] <= 1
