@@ -142,7 +142,7 @@ def cmd_solve(args) -> int:
         result = power_of_two(instance,
                               base=parse_rational(args.base, where="--base"),
                               optimize_base=args.optimize_base,
-                              grid=args.grid, cap=args.cap)
+                              cap=args.cap)
     elif args.method == "descent":
         result = coordinate_descent(instance, max_rounds=args.max_rounds,
                                     cap=args.cap)
@@ -464,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed-hi", default=None)
     p_solve.add_argument("--base", default="1")
     p_solve.add_argument("--optimize-base", action="store_true")
-    p_solve.add_argument("--grid", type=int, default=64)
     p_solve.add_argument("--max-rounds", type=int, default=100)
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
@@ -521,9 +520,12 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         # checked once here, so a bad value is refused before any work
-        digits = getattr(args, "digits", None)
-        if digits is not None and digits < 1:
-            raise InputError(f"digits must be >= 1, got {digits}")
+        for name, least in (("digits", 1), ("cap", 1), ("profile_cap", 1),
+                            ("max_rounds", 0)):
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                flag = name.replace("_", "-")
+                raise InputError(f"{flag} must be >= {least}, got {value}")
         return args.func(args)
     except ConfigRejected as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)

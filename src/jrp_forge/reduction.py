@@ -391,6 +391,7 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
         _meta_int(j, "meta.clause_targets"): _meta_int(t, f"meta.clause_targets[{j!r}]")
         for j, t in raw_targets.items()}
     anchor_targets: dict[str, int] = {}
+    clause_anchors: dict[str, int] = {}
     for c in instance.commodities:
         if c.kind in (CommodityKind.CONSTANT, CommodityKind.CLAUSE):
             t2 = c.setup / c.holding
@@ -398,6 +399,16 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
             if root * root * t2.denominator != t2.numerator:
                 raise InputError(f"commodity {c.id!r}: anchor target not integral")
             anchor_targets[c.id] = root
+            if c.kind is CommodityKind.CLAUSE:
+                clause_anchors[c.id] = root
+    # clause j is the commodity reduce_formula names z{j}, wherever the
+    # document lists it, and its target is that commodity's anchor target
+    m = len(clause_anchors)
+    if len(raw_targets) != m or set(clause_targets) != set(range(1, m + 1)) \
+            or {f"z{j}": t for j, t in clause_targets.items()} != clause_anchors:
+        raise InputError(
+            f"meta.clause_targets must map 1..{m} to the anchor targets of "
+            f"the clause commodities z1..z{m}")
     return ReductionOutput(
         instance=instance,
         pairs=pairs,

@@ -9,13 +9,11 @@ Fraction and no square root until the winning seed is refined. The
 refinement, optimize_seed, reads the cost breakdown off the seed
 coefficients (A, B) and the union count of the multipliers instead of
 repricing the policy. power_of_two rounds to exponents by one rule on
-integer bit lengths, at a fixed base and on the optimized grid alike, from
-targets that are integer pairs over the pricer's scaled costs, and takes
-its base grid of exactly rounded roots from one integer root carried with
-error bounds. Across the octave of grid bases each exponent falls at most
-once, so it is rounded once and the step where it falls is found by
-bisection: O(n log grid) integer work plus one pricing per distinct
-pattern.
+integer bit lengths, at a fixed base and across the optimized octave alike,
+from targets that are integer pairs over the pricer's scaled costs. Across
+the octave of bases each exponent falls at most once, at an exact rational
+point, so the sweep visits those points in order, keyed by integers: O(n
+log n) integer work plus one pricing per distinct pattern.
 coordinate_descent prices each trial move incrementally and in plain
 integers: only the moved cycle's standalone cost and the union rate change,
 the other cycles are scaled and pruned once per commodity, and each trial
@@ -28,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -346,59 +343,10 @@ def _ceil_log2(p: int, q: int) -> int:
     return e if fits else e + 1
 
 
-_GRID_BITS = 24     # power_of_two's base grid steps are multiples of 2^-24
-# _grid_steps takes the table from one root, by integer Newton on a number
-# of about 80*grid bits, then two 80-bit products per step: 0.03-0.06 ms at
-# 64 steps and 1.2-1.8 ms at 1024 on a 2-vCPU VM. At _ROOT_BITS the bounds
-# decide every step of every grid up to MAX_GRID, which a test runs in full;
-# a larger MAX_GRID needs that test to pass at the new size.
-MAX_GRID = 1024
-_ROOT_BITS = 80     # fraction bits of the root _grid_steps carries
-
-
-def _grid_steps(grid: int) -> list[int]:
-    """round(2**(24 + j/grid)) for j in range(grid), exactly, from one root.
-
-    With P = _ROOT_BITS, r = floor(2^(P + 1/grid)) is the integer grid-th
-    root of 2^(P*grid + 1), by integer Newton. Bounds lo <= 2^(P + j/grid)
-    <= hi are carried from lo = hi = 2^P, times r floored and times r + 1
-    ceiled back to P bits at each step. Step j rounds 2^(P + j/grid) to a
-    multiple of 2^(P - 24), and 2^(24 + j/grid) is never a half-integer, so
-    the step is decided when lo and hi round alike. Where they do not, the
-    table is refused with RuntimeError; at P = 80 that happens on no grid
-    up to MAX_GRID. The float only seeds Newton: one step from any positive
-    start lands at or above the root, and the iteration then falls to it.
-    """
-    p = _ROOT_BITS
-    n = 1 << (p * grid + 1)
-
-    def newton(x: int) -> int:
-        return ((grid - 1) * x + n // x ** (grid - 1)) // grid
-
-    r = newton(int(math.ldexp(2 ** (1 / grid), p)))
-    while (nxt := newton(r)) < r:
-        r = nxt
-    shift = p - _GRID_BITS
-    half = 1 << (shift - 1)
-    lo = hi = 1 << p
-    steps = []
-    for j in range(grid):
-        if j:
-            lo = lo * r >> p
-            hi = -(-hi * (r + 1) >> p)
-        step = (lo + half) >> shift
-        if (hi + half) >> shift != step:
-            raise RuntimeError(
-                f"root table for grid {grid}: the bounds at step {j} "
-                f"straddle a rounding boundary")
-        steps.append(step)
-    return steps
-
-
-def _exponent_falls(t_sqs: Iterable[tuple[int, int]], base_sq: Fraction,
-                    step_sqs: list[int]) -> list[tuple[int, int]]:
-    """(m0, fall) per target: its exponent at base and over one octave of
-    grid bases above it.
+def _exponent_falls(t_sqs: Iterable[tuple[int, int]],
+                    base_sq: Fraction) -> list[tuple[int, int, int]]:
+    """(m0, p, q) per target: its exponent m0 at base, and the squared ratio
+    x^2 = p/q at which it falls to m0 - 1 as the base rises to base*x.
 
     A target t's exponent at a base b is the m with b*2^m in
     [t/sqrt(2), t*sqrt(2)): the smallest integer m with t^2/b^2 <= 2*4^m.
@@ -407,28 +355,46 @@ def _exponent_falls(t_sqs: Iterable[tuple[int, int]], base_sq: Fraction,
     x^2 >= t*^2/2. m0 is the exponent at b = base, from bit lengths.
 
     Each target's square comes as positive integers (tp, tq), t^2 = tp/tq.
-    With S_j = step_sqs[j] increasing from S_0 = 2^48 and S_j/S_0 < 4, the
-    grid base b_j = base*sqrt(S_j)/2^24 has b_j^2 = base^2*S_j/2^48. The
-    exponent at b_j is m0 at every step j < fall and m0 - 1 from step fall
-    on; fall = len(step_sqs) when it never falls, so with no steps only m0
-    is read. It is the smallest m with p*2^48 <= q*S_j*2*4^m
-    (t^2/base^2 = p/q), so it is below m0 exactly where
-    S_j >= p*2^48 / (q*2^(2*m0 - 1)), and S_j < 4*S_0 keeps it above
-    m0 - 2.
+    With t^2/base^2 = P/Q, the exponent at base*x is m0 - 1 exactly where
+    x^2 >= P / (Q*2^(2*m0 - 1)) = p/q, and m0 below it. By m0's choice that
+    ratio lies in (1, 4], so the exponent falls at most once as x sweeps
+    the octave [1, 2), and it falls inside the octave iff p < 4*q.
     """
     bn, bd = base_sq.numerator, base_sq.denominator
     out = []
     for tp, tq in t_sqs:
         p, q = tp * bd, tq * bn
         m0 = _ceil_log2(p, q) // 2
-        shift = 2 * _GRID_BITS - (2 * m0 - 1)
-        # the least integer S_j at which the exponent is below m0
+        shift = 2 * m0 - 1
         if shift >= 0:
-            threshold = -(-(p << shift) // q)
+            q <<= shift
         else:
-            threshold = -(-p // (q << -shift))
-        out.append((m0, bisect_left(step_sqs, threshold)))
+            p <<= -shift
+        out.append((m0, p, q))
     return out
+
+
+def _octave_sweeps(lists: list[list[tuple[int, int, int]]]
+                   ) -> list[tuple[list[int], dict[int, list[int]]]]:
+    """Per list of _exponent_falls results: the exponents at the base, and
+    the indices whose exponent falls at each threshold inside the octave,
+    under an integer key.
+
+    A threshold p/q < 4 is keyed by (p << B) // q with 2^B above every q
+    squared: two distinct thresholds differ by at least 1/(q*q') > 2^-B, so
+    their keys keep their order, and equal ones share a key. Sorting the
+    keys orders the thresholds exactly, with no Fraction.
+    """
+    bits = 2 * max(q.bit_length() for falls in lists for _, _, q in falls)
+    sweeps = []
+    for falls in lists:
+        exps, at = [], {}
+        for i, (m0, p, q) in enumerate(falls):
+            exps.append(m0)
+            if p < 4 * q:
+                at.setdefault((p << bits) // q, []).append(i)
+        sweeps.append((exps, at))
+    return sweeps
 
 
 def _cluster_targets(scaled: _ScaledCosts) -> list[tuple[int, int]]:
@@ -465,35 +431,37 @@ def _cluster_targets(scaled: _ScaledCosts) -> list[tuple[int, int]]:
 
 
 def power_of_two(instance: Instance, base: Fraction = Fraction(1),
-                 optimize_base: bool = False, grid: int = 64,
+                 optimize_base: bool = False,
                  cap: int | None = None) -> SolveResult:
     """Restrict every cycle to base*2^m with integer m.
 
     With a fixed base each commodity's exponent minimizes its standalone
     cost exactly (rounding log2(t*/base), half-points rounding down): it is
     _exponent_falls' m0 for t*^2 as an integer pair over the pricer's
-    scaled costs, and the policy is priced by total_cost; `grid` is not
-    read. With optimize_base=True, `grid` bases
-    base * round(2^(j/grid)) (to 24 bits, exactly rounded integer roots)
-    spanning one octave above `base` are tried; for each base two exponent
-    patterns are formed — one rounding the standalone optima, one rounding
-    the joint-setup relaxation targets, which share one cycle across the
-    cluster of most frequent commodities — and every distinct pattern is
-    reduced to an integer multiplier profile. Profiles are ranked by the
-    integer A*B of cost._profile_pricer, the first seen winning ties, and
-    only the best one's common seed is optimized exactly, so the returned
-    policy is the best seed-scaled power-of-two pattern seen. `grid` must
-    lie in 1..MAX_GRID; outside it InputError is raised.
+    scaled costs, and the policy is priced by total_cost. With
+    optimize_base=True every base in the octave [base, 2*base) is covered;
+    for each base two exponent patterns are formed — one rounding the
+    standalone optima, one rounding the joint-setup relaxation targets,
+    which share one cycle across the cluster of most frequent commodities —
+    and every distinct pattern is reduced to an integer multiplier profile.
+    Profiles are ranked by the integer A*B of cost._profile_pricer, the
+    first seen winning ties, and only the best one's common seed is
+    optimized exactly, so the returned policy is the best seed-scaled
+    power-of-two pattern of any base. nodes_explored counts the distinct
+    profiles priced.
 
-    The bases are swept, not re-rounded: as the base rises through the
-    octave each exponent falls at most once, at a step _exponent_falls
-    finds by one bisection over the squared grid steps. A pattern is rebuilt
-    and priced only at the first base and where one of its exponents falls;
-    at every other base it repeats the pattern before it, which is already
-    seen. That is O(n log grid) integer work and at most 2n + 2 patterns
-    priced. Around the scan the work is integer too: both target lists are
-    integer pairs from the pricer's scaled costs, the root table comes from
-    _grid_steps, and the winner's breakdown is read off by optimize_seed.
+    The octave is swept exactly: as the base rises from base to base*x,
+    each exponent falls at most once, at the rational x^2 in (1, 4] that
+    _exponent_falls returns. The distinct thresholds below 4 are visited in
+    ascending order, at one threshold the standalone pattern before the
+    cluster pattern, so `base` only decides where the sweep starts and
+    with it which of two equal-cost patterns is seen first; _octave_sweeps
+    orders the thresholds by exact integer keys. A pattern is rebuilt
+    and priced only at the first base and where one of its exponents falls,
+    so a sweep costs O(n log n) integer work and at most 2n + 2 pricings.
+    Around the sweep the work is integer too: both target lists are integer
+    pairs from the pricer's scaled costs, and the winner's breakdown is read
+    off by optimize_seed.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -508,27 +476,15 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
                       for s, w in zip(scaled.setups, scaled.weights)]
 
     if not optimize_base:
-        policy = Policy({cid: base * Fraction(2) ** m0 for cid, (m0, _)
+        policy = Policy({cid: base * Fraction(2) ** m0 for cid, (m0, _, _)
                          in zip(ids, _exponent_falls(standalone_sqs,
-                                                     base * base, []))})
+                                                     base * base))})
         return SolveResult(policy, total_cost(instance, policy, cap=cap),
                            f"pot(base={base})", len(ids),
                            time.perf_counter() - t0)
 
-    if grid < 1:
-        raise InputError(f"grid must be >= 1, got {grid}")
-    if grid > MAX_GRID:
-        raise InputError(f"grid must be <= {MAX_GRID}, got {grid}")
-    step_sqs = [x * x for x in _grid_steps(grid)]
-    # per list: the exponents at j = 0, and the commodities whose exponent
-    # falls by one at each later step j
-    sweeps = []
-    for sqs in (standalone_sqs, _cluster_targets(scaled)):
-        exps, falls = [], {}
-        for i, (m0, j) in enumerate(_exponent_falls(sqs, base * base, step_sqs)):
-            exps.append(m0)
-            falls.setdefault(j, []).append(i)
-        sweeps.append((exps, falls))
+    sweeps = _octave_sweeps([_exponent_falls(sqs, base * base) for sqs
+                             in (standalone_sqs, _cluster_targets(scaled))])
     price = _profile_pricer(scaled, cap)
     dsb = scaled.d * scaled.sb
     seen: set[tuple[int, ...]] = set()
@@ -536,11 +492,12 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     # A*B = a*b / (D*SB*H); the first seen wins ties
     best: Optional[tuple[bool, int, int]] = None
     best_profile: Optional[tuple[int, ...]] = None
-    for j in range(grid):
-        for exps, falls in sweeps:
-            if j:
-                fallen = falls.get(j)
-                if fallen is None:      # step j-1's pattern, already seen
+    keys = sorted({key for _, at in sweeps for key in at})
+    for key in [None, *keys]:
+        for exps, at in sweeps:
+            if key is not None:
+                fallen = at.get(key)
+                if fallen is None:      # the pattern before, already seen
                     continue
                 for i in fallen:
                     exps[i] -= 1
@@ -557,4 +514,4 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     assert best_profile is not None
     refined = optimize_seed(instance, dict(zip(ids, best_profile)), cap=cap)
     return SolveResult(refined.policy, refined.cost, "pot(opt-base)",
-                       grid, time.perf_counter() - t0)
+                       len(seen), time.perf_counter() - t0)

@@ -3,9 +3,9 @@
 Everything here is deliberately implemented differently from the package:
 set-based epoch counting instead of inclusion-exclusion, float golden-section
 search instead of the closed form, reversed-order clause evaluation,
-Fraction loops for decimal rendering, power-of-two exponents and cluster
-targets where the package uses integers, an exact search per grid step
-where the package carries one root, and sympy's primality test. None of it
+Fraction loops for decimal rendering, power-of-two exponents, cluster
+targets and the thresholds where exponents fall, all in Fractions where
+the package uses integers, and sympy's primality test. None of it
 imports package internals beyond types, except reference_descent and
 reference_roundtrip, which price every trial through the public total_cost,
 reference_fixed_power_of_two, which prices its policy the same way, and
@@ -302,27 +302,6 @@ def pot_exponent(t_sq: Fraction, base_sq: Fraction) -> int:
     return m
 
 
-GRID_BITS = 24      # the grid steps are multiples of 2^-24
-
-
-def grid_step(j: int, grid: int) -> int:
-    """round(2**(24 + j/grid)) exactly, by a search per step, without libm.
-
-    The result x is the integer with (2x-1)^grid <= 2^(25*grid + j)
-    < (2x+1)^grid; the root is never a half-integer, so no tie arises. The
-    float only picks where the search starts: the loops make the result
-    exact whatever libm returns.
-    """
-    k = grid * (GRID_BITS + 1) + j
-    x = round(2 ** (j / grid) * 2 ** GRID_BITS)
-    # the powers of odd 2x+-1 are never 2^k, so bit lengths decide exactly
-    while ((2 * x + 1) ** grid).bit_length() <= k:
-        x += 1
-    while ((2 * x - 1) ** grid).bit_length() > k:
-        x -= 1
-    return x
-
-
 def reference_fixed_power_of_two(instance, base: Fraction = Fraction(1),
                                  cap: int | None = None):
     """power_of_two at a fixed base, with Fraction targets.
@@ -343,31 +322,36 @@ def reference_fixed_power_of_two(instance, base: Fraction = Fraction(1),
 
 
 def reference_power_of_two(instance, base: Fraction = Fraction(1),
-                           grid: int = 64, cap: int | None = None):
-    """power_of_two(optimize_base=True) ranked with Fraction coefficients.
+                           cap: int | None = None):
+    """power_of_two(optimize_base=True) over the octave, in Fractions.
 
-    The same grid of bases and the same two exponent patterns per base; each
-    distinct pattern's profile is priced by seed_cost and ranked by the
-    Fraction A*B, the first seen keeping a tie (a strict <). The winner's
-    seed is refined by optimize_seed. Returns (policy, cost breakdown,
-    method).
+    Each target's exponent falls once as the base rises from `base` to
+    base*x, where x^2 = t^2 / (base^2 * 2*4^(m0 - 1)) with m0 its exponent
+    at `base`; the distinct falls with x^2 < 4 are visited in ascending
+    order after x = 1. At each such base both exponent patterns are read
+    afresh by pot_exponent, the standalone one first; each distinct
+    pattern's profile is priced by seed_cost and ranked by the Fraction
+    A*B, the first seen keeping a tie (a strict <). The winner's seed is
+    refined by optimize_seed. Returns (policy, cost breakdown, method,
+    profiles priced).
     """
     from jrp_forge.cost import seed_cost
     from jrp_forge.model import SeedProfile
     from jrp_forge.solve import optimize_seed
 
     ids = instance.ids()
+    base_sq = Fraction(base) ** 2
     targets = cluster_target_squares(instance)
-    standalone_sqs = [c.setup / (c.demand * c.holding / 2)
-                      for c in instance.commodities]
-    target_sqs = [targets[cid] for cid in ids]
+    lists = ([c.setup / (c.demand * c.holding / 2) for c in instance.commodities],
+             [targets[cid] for cid in ids])
+    falls = {t_sq / (base_sq * 2 * Fraction(4) ** (pot_exponent(t_sq, base_sq) - 1))
+             for sqs in lists for t_sq in sqs}
     seen: set[tuple[int, ...]] = set()
     best: Fraction | None = None
     best_profile: dict[str, int] | None = None
-    for j in range(grid):
-        b_j = Fraction(base) * Fraction(grid_step(j, grid), 2 ** GRID_BITS)
-        for sqs in (standalone_sqs, target_sqs):
-            exps = [pot_exponent(t_sq, b_j * b_j) for t_sq in sqs]
+    for x_sq in [Fraction(1)] + sorted(x for x in falls if x < 4):
+        for sqs in lists:
+            exps = [pot_exponent(t_sq, base_sq * x_sq) for t_sq in sqs]
             ks = tuple(2 ** (m - min(exps)) for m in exps)
             if ks in seen:
                 continue
@@ -378,7 +362,7 @@ def reference_power_of_two(instance, base: Fraction = Fraction(1),
                 best, best_profile = a * b, profile
     assert best_profile is not None
     refined = optimize_seed(instance, best_profile, cap=cap)
-    return refined.policy, refined.cost, "pot(opt-base)"
+    return refined.policy, refined.cost, "pot(opt-base)", len(seen)
 
 
 def reference_rational_to_decimal(q: Fraction, digits: int = 12) -> str:

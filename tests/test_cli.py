@@ -99,6 +99,48 @@ def test_digits_below_one_exits_2(capsys, monkeypatch, single_files, cnf_file,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--cap", "0"], "cap must be >= 1, got 0"),
+    (["eval", "--cap", "-1"], "cap must be >= 1, got -1"),
+    (["solve", "--method", "pot", "--optimize-base", "--cap", "0"],
+     "cap must be >= 1, got 0"),
+    (["solve", "--method", "descent", "--cap", "-1"],
+     "cap must be >= 1, got -1"),
+    (["solve", "--method", "exhaustive", "--profile-cap", "0"],
+     "profile-cap must be >= 1, got 0"),
+    (["solve", "--method", "exhaustive", "--profile-cap", "-5"],
+     "profile-cap must be >= 1, got -5"),
+    (["solve", "--method", "descent", "--max-rounds", "-3"],
+     "max-rounds must be >= 0, got -3"),
+], ids=["eval-cap-0", "eval-cap-negative", "solve-cap-0",
+        "solve-cap-negative", "profile-cap-0", "profile-cap-negative",
+        "max-rounds-negative"])
+def test_caps_below_their_range_exit_2(capsys, monkeypatch, single_files,
+                                       argv, message):
+    # refused as malformed input before any work, not as a reached cap
+    def never(*args, **kwargs):
+        raise AssertionError("called before the option was checked")
+
+    for name in ("total_cost", "decompose", "exhaustive_search",
+                 "power_of_two", "coordinate_descent", "optimize_seed"):
+        monkeypatch.setattr(cli, name, never)
+    ipath, ppath = single_files
+    command, *rest = argv
+    extra = ["--policy", ppath] if command == "eval" else []
+    rc, out, err = run(capsys, command, ipath, *extra, *rest)
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
+def test_caps_at_the_bottom_of_their_range_run(capsys, single_files):
+    ipath, _ = single_files
+    for args in (["--method", "exhaustive", "--k-hi", "1", "--profile-cap", "1",
+                  "--cap", "1"],
+                 ["--method", "descent", "--max-rounds", "0"]):
+        rc, out, _ = run(capsys, "solve", ipath, *args)
+        assert rc == 0 and json.loads(out)["policy"]
+
+
 def test_eval_missing_file(capsys, single_files, tmp_path):
     _, ppath = single_files
     rc, _, err = run(capsys, "eval", str(tmp_path / "nope.json"),
@@ -174,14 +216,16 @@ def test_solve_pot(capsys, single_files):
     assert doc["policy"]["a"]["exact"] == "4/1"
 
 
-def test_solve_pot_grid_above_max_exits_2(capsys, single_files):
+def test_solve_pot_grid_is_an_unknown_option(capsys, single_files):
+    # the optimized base sweeps the whole octave, so no grid is taken
     ipath, _ = single_files
-    rc, out, err = run(capsys, "solve", ipath, "--method", "pot",
-                       "--optimize-base", "--grid", "1025")
-    assert rc == 2 and out == ""
-    assert "grid must be <= 1024, got 1025" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", ipath, "--method", "pot", "--optimize-base",
+              "--grid", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 64" in capsys.readouterr().err
     rc, out, _ = run(capsys, "solve", ipath, "--method", "pot",
-                     "--optimize-base", "--grid", "1024")
+                     "--optimize-base")
     assert rc == 0 and json.loads(out)["method"] == "pot(opt-base)"
 
 
@@ -481,12 +525,12 @@ def _golden_digest(capsys, path: str) -> str:
 
 
 GOLDEN_SOLVE_SHA256 = {
-    (4, 0): "baa70a8344aad27101423391336bc283bee5293cc2fc656d14af6dd502db23cc",
-    (4, 1): "e6f03786ab59f3c635073774988fbb56d9787b292c602b601fdbb9c63438cecd",
-    (4, 2): "e3afe1ec248599b9579b10d29cc65f600158f6cc4eb924fc2bcb6a8ef1e01425",
-    (16, 0): "8c18d5943c19dab9640b6bf0571b1e82551475ffe565ed00e7588ba93936525d",
-    (16, 1): "71264b9a2241ef1063a0cfd48fa9fb55efb205e74d26be5264c9b88e92601a70",
-    (16, 2): "e2e9e02e916864289cf2e7f4af61c86a9250aea2fb7761eb10a2b5ac0057a5ff",
+    (4, 0): "5f1aca65c0f563f9020cb8e1db3bb3ec6edd5d3594418023d92ebee1da604180",
+    (4, 1): "2a8d1d7894efe840cf53ffa896c3c9df40d687c4c0bd21b97ade22066a676e1e",
+    (4, 2): "1447317ccb8d4ac218a398d76af9eefe4709dec6e99304db58fe6e513d669945",
+    (16, 0): "dc013bc68e549fdf85bedd49cb78b92c3fb88c369151e1a5b8dcdb3c0d105647",
+    (16, 1): "21df37d7bfc295b51232ffa814815f2cc838af63c40ba54a88a5f95aaab0ac7a",
+    (16, 2): "3408dfb6b7fad41d572604cadf5c208bbb3a80ca8454783752da16a35e582878",
 }
 
 

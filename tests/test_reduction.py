@@ -297,12 +297,16 @@ _DROP = object()
     (("pairs", 2, 0), 29.5, r"meta\.pairs\[2\]"),
     (("alpha", "alpha_v"), _DROP, "'alpha_v'"),
     (("clause_targets",), [1001, 2431], r"meta\.clause_targets"),
+    (("clause_targets",), {"1": 7, "2": 11}, r"meta\.clause_targets must map 1\.\.\d"),
+    (("clause_targets", "1"), _DROP, r"meta\.clause_targets must map"),
     (("constants_scheme",), ["paired-anchors"], r"meta\.constants_scheme"),
     (("constants_scheme",), 42, r"meta\.constants_scheme"),
     (("constants_scheme",), None, r"meta\.constants_scheme"),
     (("constants_scheme",), "no-such", r"meta\.constants_scheme"),
 ], ids=["short-pair-row", "non-integer-pair-entry", "float-pair-entry",
-        "missing-alpha-v", "clause-targets-list", "scheme-list", "scheme-int",
+        "missing-alpha-v", "clause-targets-list", "clause-targets-foreign",
+        "clause-targets-missing-one",
+        "scheme-list", "scheme-int",
         "scheme-null", "scheme-unknown"])
 def test_reduction_json_malformed_meta_is_input_error(path, value, needle):
     doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
@@ -316,6 +320,20 @@ def test_reduction_json_malformed_meta_is_input_error(path, value, needle):
         node[last] = value
     with pytest.raises(InputError, match=needle):
         reduction_from_json(json.dumps(doc))
+
+
+def test_reduction_json_clause_targets_follow_the_clause_commodities():
+    # value j must be the anchor target of clause commodity z{j}: a swapped
+    # pair or a second spelling of key 1 is refused
+    doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
+    targets = doc["meta"]["clause_targets"]
+    assert reduction_from_json(json.dumps(doc)).clause_targets \
+        == {int(j): t for j, t in targets.items()}
+    for bad in ({**targets, "1": targets["2"], "2": targets["1"]},
+                {**targets, "01": targets["1"]}):
+        doc["meta"]["clause_targets"] = bad
+        with pytest.raises(InputError, match=r"meta\.clause_targets must map 1\.\.3 "):
+            reduction_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("row, needle", [

@@ -15,11 +15,9 @@ from jrp_forge.cost import _scaled_costs, seed_cost, total_cost
 from jrp_forge.eoq import optimal_cycle, sqrt_fraction, standalone_cost
 from jrp_forge.model import Commodity, InputError, Instance, Policy, SeedProfile
 from jrp_forge.solve import (
-    _GRID_BITS,
-    MAX_GRID,
     _cluster_targets,
     _exponent_falls,
-    _grid_steps,
+    _octave_sweeps,
     coordinate_descent,
     default_candidates,
     exhaustive_search,
@@ -30,7 +28,6 @@ from jrp_forge.solve import (
 from .oracles import (
     cluster_target_squares,
     exhaustive_argmin,
-    grid_step,
     pot_exponent,
     reference_descent,
     reference_fixed_power_of_two,
@@ -621,60 +618,6 @@ def test_power_of_two_fixed_base_matches_fraction_reference():
                 == (cost, method, nodes), (i, base)
 
 
-# round(2**(24 + j/64)) for j = 0..63, the default grid of power_of_two
-GRID_64 = (
-    16777216, 16959908, 17144589, 17331282, 17520007, 17710787, 17903645,
-    18098603, 18295684, 18494911, 18696307, 18899897, 19105703, 19313750,
-    19524063, 19736666, 19951585, 20168843, 20388467, 20610483, 20834917,
-    21061794, 21291142, 21522987, 21757357, 21994279, 22233781, 22475891,
-    22720638, 22968049, 23218155, 23470984, 23726566, 23984932, 24246111,
-    24510133, 24777031, 25046835, 25319578, 25595290, 25874004, 26155754,
-    26440571, 26728490, 27019544, 27313768, 27611195, 27911861, 28215802,
-    28523052, 28833647, 29147625, 29465022, 29785875, 30110222, 30438101,
-    30769550, 31104608, 31443315, 31785710, 32131834, 32481727, 32835430,
-    33192984,
-)
-
-
-def test_grid_steps_are_exact_roots():
-    assert tuple(grid_step(j, 64) for j in range(64)) == GRID_64
-    assert tuple(_grid_steps(64)) == GRID_64
-    for j, x in enumerate(GRID_64):
-        # x - 1/2 < 2^(24 + j/64) < x + 1/2, raised to the 64th power
-        assert (2 * x - 1) ** 64 < 2 ** (25 * 64 + j) < (2 * x + 1) ** 64
-    # the root table, the exact search per step and the float formula the
-    # grid used before agree on every grid up to 256
-    for grid in range(1, 257):
-        exact = [grid_step(j, grid) for j in range(grid)]
-        assert _grid_steps(grid) == exact, grid
-        assert exact == [round(2 ** (j / grid) * 2 ** 24) for j in range(grid)], grid
-    assert _grid_steps(MAX_GRID) == [grid_step(j, MAX_GRID) for j in range(MAX_GRID)]
-
-
-def test_grid_steps_decide_every_accepted_grid():
-    # the root's bounds decide every step of every grid up to MAX_GRID, so
-    # no table raises; raising MAX_GRID needs this to pass at the new size
-    for grid in range(1, MAX_GRID + 1):
-        assert len(_grid_steps(grid)) == grid
-
-
-def test_grid_steps_refuse_a_straddle(monkeypatch):
-    # with 25 fraction bits the bounds on 2^(P + j/grid) straddle a rounding
-    # boundary at nearly every step; the table is refused, not guessed
-    monkeypatch.setattr(solve_mod, "_ROOT_BITS", 25)
-    with pytest.raises(RuntimeError, match=r"grid 64\b.* step [1-9]"):
-        solve_mod._grid_steps(64)
-
-
-def test_power_of_two_grid_range():
-    assert power_of_two(single(), optimize_base=True,
-                        grid=MAX_GRID).method == "pot(opt-base)"
-    # refused before any grid step is computed (grid 4096 would take seconds)
-    for grid in (0, MAX_GRID + 1, 4096):
-        with pytest.raises(InputError, match="grid must be"):
-            power_of_two(single(), optimize_base=True, grid=grid)
-
-
 def test_power_of_two_fixed_base_example():
     # t* = sqrt(25/ (2*1/2)) = 5 -> nearest power of two by cost is 4
     res = power_of_two(single())
@@ -735,14 +678,13 @@ def test_power_of_two_matches_fraction_reference():
                     Instance(commodities, k0)
             else:
                 inst = Instance(commodities, k0)
-        grid = (1, 7, 64)[i % 3]
         base = rng.choice((F(1), F(1), F(3, 2), F(5, 7)))
         if inst is None:
             refused += 1
             continue
-        res = power_of_two(inst, base=base, optimize_base=True, grid=grid)
-        want = reference_power_of_two(inst, base=base, grid=grid)
-        assert (res.policy, res.cost, res.method) == want, (i, grid)
+        res = power_of_two(inst, base=base, optimize_base=True)
+        want = reference_power_of_two(inst, base=base)
+        assert (res.policy, res.cost, res.method, res.nodes_explored) == want, i
         winners.add(tuple(sorted(set(res.policy.cycles.values()))))
     assert refused > 10 and len(winners) > 150
 
@@ -757,19 +699,19 @@ def test_power_of_two_answers_a_chain_past_the_cap():
     assert fixed.cost == total_cost(inst, fixed.policy)
     assert fixed.cost.joint_frequency == 1
     res = power_of_two(inst, optimize_base=True)
-    policy, cost, method = reference_power_of_two(inst)
-    assert (res.policy, res.cost, res.method) == (policy, cost, method)
-    assert res.cost.total <= fixed.cost.total     # base 1 is on the grid
+    assert (res.policy, res.cost, res.method, res.nodes_explored) \
+        == reference_power_of_two(inst)
+    assert res.cost.total <= fixed.cost.total     # base 1 starts the sweep
 
 
 def test_power_of_two_sweep_matches_reference():
-    # the event sweep forms the patterns that rounding every target at every
-    # base forms, in the same order, on grids and bases of every kind
+    # the integer sweep forms the patterns that rounding every target afresh
+    # at every threshold base forms, in the same order, at bases of every
+    # kind; nodes are the distinct profiles priced
     rng = random.Random(20261020)
-    bases = (F(1), F(3, 2), F(5, 7), F(1, 3), F(7))
-    cases = [(n, grid) for n in range(1, 25) for grid in (1, 2, 3, 7, 64, 100)]
-    cases += [(n, MAX_GRID) for n in (1, 6, 24)]
-    for case, (n, grid) in enumerate(cases):
+    bases = (F(1), F(3, 2), F(5, 7), F(1, 3), F(7), F(1, 1000), F(1000))
+    for case in range(3 * 24):
+        n = case // 3 + 1
         if case % 3 == 0:
             inst = _random_instance(rng, n)
         else:   # standalone optima several octaves apart
@@ -780,58 +722,129 @@ def test_power_of_two_sweep_matches_reference():
                             rng.randint(1, 4)))
                 for j in range(n)), F(rng.randint(1, 50), rng.randint(1, 3)))
         base = bases[case % len(bases)]
-        res = power_of_two(inst, base=base, optimize_base=True, grid=grid)
-        policy, cost, method = reference_power_of_two(inst, base=base, grid=grid)
-        assert (res.cost, res.method, res.nodes_explored) == (cost, method, grid)
+        res = power_of_two(inst, base=base, optimize_base=True)
+        policy, cost, method, nodes = reference_power_of_two(inst, base=base)
+        assert (res.cost, res.method, res.nodes_explored) == (cost, method, nodes)
         assert [(cid, type(t), t) for cid, t in res.policy.cycles.items()] \
             == [(cid, type(t), t) for cid, t in policy.cycles.items()], case
+        assert 1 <= nodes <= 2 * n + 2
+
+
+def test_power_of_two_beats_both_patterns_at_any_base():
+    # every base of the octave is covered: at a random b in [base, 2*base)
+    # the seed-optimized standalone and cluster patterns cost no less than
+    # the sweep's winner
+    rng = random.Random(20261024)
+    for i in range(120):
+        n = rng.randint(1, 10)
+        inst = _random_instance(rng, n) if i % 2 else Instance(tuple(
+            Commodity(f"c{j}", F(rng.randint(1, 8), rng.randint(1, 3)),
+                      F(rng.randint(1, 30), rng.randint(1, 8)),
+                      F(rng.randint(1, 10 ** rng.randint(1, 5)),
+                        rng.randint(1, 40)))
+            for j in range(n)), F(rng.randint(1, 50), rng.randint(1, 3)))
+        base = rng.choice((F(1), F(3, 2), F(5, 7), F(1, 1000)))
+        res = power_of_two(inst, base=base, optimize_base=True)
+        targets = cluster_target_squares(inst)
+        for _ in range(3):
+            b = base * (1 + F(rng.randint(0, 10 ** 6 - 1), 10 ** 6))
+            for sqs in ([c.setup / (c.demand * c.holding / 2)
+                         for c in inst.commodities],
+                        [targets[cid] for cid in inst.ids()]):
+                exps = [pot_exponent(t_sq, b * b) for t_sq in sqs]
+                profile = {cid: 2 ** (m - min(exps))
+                           for cid, m in zip(inst.ids(), exps)}
+                assert res.cost.total <= optimize_seed(inst, profile).cost.total, \
+                    (i, b)
 
 
 def _pair(q: Fraction) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _grid_sq(base: Fraction, step_sq: int) -> Fraction:
-    return base * base * F(step_sq, 2 ** (2 * _GRID_BITS))
-
-
 def test_exponent_falls_at_its_exact_threshold():
+    # t^2 = 2*4^m*b^2 for b = base*x: the exponent is m at b and m + 1
+    # below it, so the squared ratio returned is x^2 exactly
     rng = random.Random(7)
-    for grid in (2, 3, 7, 64, 100):
-        step_sqs = [grid_step(j, grid) ** 2 for j in range(grid)]
-        for m in range(-30, 31, 3):     # 2*m0 - 1 on both sides of 48
-            base = rng.choice((F(1), F(3, 2), F(5, 7), F(7)))
-            j = rng.randint(1, grid - 1)
-            # t^2 = 2*4^m*b_j^2: the exponent is m at b_j and m + 1 below it
-            exact = 2 * F(4) ** m * _grid_sq(base, step_sqs[j])
-            # t^2 just above and just below that at b_j, by half a unit of S_j
-            above = exact * F(2 * step_sqs[j] + 1, 2 * step_sqs[j])
-            below = exact * F(2 * step_sqs[j] - 1, 2 * step_sqs[j])
-            got = _exponent_falls([_pair(exact), _pair(above), _pair(below)],
-                                  base * base, step_sqs)
-            assert got == [(m + 1, j), (m + 1, j + 1), (m + 1, j)], (grid, m, j)
-            for t_sq, (m0, fall) in zip((exact, above, below), got):
-                for i in (j - 1, j, min(j + 1, grid - 1)):
-                    assert pot_exponent(t_sq, _grid_sq(base, step_sqs[i])) \
-                        == m0 - (i >= fall)
+    for m in range(-30, 31, 3):     # 2*m0 - 1 on both sides of 0
+        base = rng.choice((F(1), F(3, 2), F(5, 7), F(7)))
+        x_sq = 1 + F(rng.randint(1, 10 ** 6), 10 ** 6 + 1) * 3     # in (1, 4)
+        exact = 2 * F(4) ** m * base * base * x_sq
+        # t^2 just above and just below that, by one part in 10^9
+        above, below = exact * (1 + F(1, 10 ** 9)), exact * (1 - F(1, 10 ** 9))
+        got = _exponent_falls([_pair(exact), _pair(above), _pair(below)],
+                              base * base)
+        assert [m0 for m0, _, _ in got] == [m + 1] * 3
+        falls = [F(p, q) for _, p, q in got]
+        assert falls[0] == x_sq and falls[2] < x_sq < falls[1], m
+        for t_sq, (m0, p, q) in zip((exact, above, below), got):
+            for y_sq in (F(1), F(p, q) * (1 - F(1, 10 ** 12)), F(p, q),
+                         F(p, q) * (1 + F(1, 10 ** 12))):
+                if y_sq < 4:
+                    assert pot_exponent(t_sq, base * base * y_sq) \
+                        == m0 - (y_sq >= F(p, q))
+    # a target at the top of its rounding interval falls only at x^2 = 4,
+    # outside the octave: t^2/base^2 = 2*4^m
+    assert _exponent_falls([(8, 1)], F(1)) == [(1, 8, 2)]
 
 
 def test_pot_exponent_falls_at_most_once_per_octave():
     rng = random.Random(11)
     for _ in range(60):
-        grid = rng.randint(1, 256)
         base = F(rng.randint(1, 50), rng.randint(1, 50))
-        step_sqs = [grid_step(j, grid) ** 2 for j in range(grid)]
         t_sqs = [F(rng.randint(1, 10 ** rng.randint(1, 12)),
                    rng.randint(1, 10 ** rng.randint(1, 12))) for _ in range(4)]
-        falls = _exponent_falls([_pair(t_sq) for t_sq in t_sqs], base * base,
-                                step_sqs)
-        for t_sq, (m0, fall) in zip(t_sqs, falls):
-            exps = [pot_exponent(t_sq, _grid_sq(base, s)) for s in step_sqs]
-            # never rises, falls by at most one across the octave
-            assert all(0 <= a - b <= 1 for a, b in zip(exps, exps[1:]))
-            assert exps[0] - exps[-1] <= 1
-            assert exps == [m0 - (j >= fall) for j in range(grid)]
+        falls = _exponent_falls([_pair(t_sq) for t_sq in t_sqs], base * base)
+        x_sqs = sorted(1 + F(rng.randint(0, 3 * 10 ** 6 - 1), 10 ** 6)
+                       for _ in range(50))
+        for t_sq, (m0, p, q) in zip(t_sqs, falls):
+            assert 1 < F(p, q) <= 4
+            exps = [pot_exponent(t_sq, base * base * x_sq) for x_sq in x_sqs]
+            # m0 below the threshold and m0 - 1 from it on, across the octave
+            assert exps == [m0 - (x_sq >= F(p, q)) for x_sq in x_sqs]
+
+
+def test_octave_sweeps_order_thresholds_as_fractions():
+    # integer keys order the thresholds exactly as Fractions do: distinct
+    # ones close together, equal ones written with different (p, q), and
+    # x^2 = 4, which lies outside the octave and gets no key
+    rng = random.Random(20261025)
+    for _ in range(200):
+        lists, fracs = [], {}
+        for li in range(2):
+            falls = []
+            for i in range(rng.randint(1, 8)):
+                q = rng.randint(1, 10 ** rng.randint(1, 30))
+                kind = rng.random()
+                if kind < 0.15:
+                    p = 4 * q
+                elif kind < 0.4 and fracs:     # equal to an earlier one
+                    r = rng.choice(list(fracs.values()))
+                    k = rng.randint(1, 1000)
+                    p, q = r.numerator * k, r.denominator * k
+                elif kind < 0.6 and fracs:     # just above an earlier one
+                    r = rng.choice(list(fracs.values()))
+                    k = rng.randint(2, 10 ** 6)
+                    p, q = min(r.numerator * k + 1, 4 * r.denominator * k - 1), \
+                        r.denominator * k
+                else:
+                    p = rng.randint(q + 1, 4 * q)
+                falls.append((rng.randint(-5, 5), p, q))
+                fracs[li, i] = F(p, q)
+            lists.append(falls)
+        sweeps = _octave_sweeps(lists)
+        inside = {li_i: r for li_i, r in fracs.items() if r < 4}
+        key_of = {}
+        for li, (exps, at) in enumerate(sweeps):
+            assert exps == [m0 for m0, _, _ in lists[li]]
+            for key, indices in at.items():
+                for i in indices:
+                    key_of[li, i] = key
+        assert set(key_of) == set(inside)
+        for a in inside:
+            for b in inside:
+                assert (key_of[a] < key_of[b]) == (inside[a] < inside[b])
+                assert (key_of[a] == key_of[b]) == (inside[a] == inside[b])
 
 
 def _weighted(k0, setups_weights) -> Instance:
@@ -902,8 +915,9 @@ def test_power_of_two_exact_tie_keeps_first_pattern():
                      for ks in ((2, 1, 4), (1, 1, 2)))
     assert first.cost.total == second.cost.total == 20
     assert first.policy != second.policy
-    for grid in (1, 8):
-        res = power_of_two(inst, optimize_base=True, grid=grid)
+    # base 2 starts the sweep at the same point of the octave as base 1
+    for base in (F(1), F(2)):
+        res = power_of_two(inst, base=base, optimize_base=True)
         assert (res.policy, res.cost) == (first.policy, first.cost)
 
 
