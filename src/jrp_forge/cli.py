@@ -49,6 +49,7 @@ from .sat import (
     validate_3sat,
 )
 from .solve import (
+    DEFAULT_PROFILE_CAP,
     coordinate_descent,
     exhaustive_search,
     optimize_seed,
@@ -125,7 +126,30 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # solve
 
+# solve option -> (the methods that read it, its default, its help)
+_SOLVE_OPTIONS = {
+    "k_lo": ({"exhaustive"}, 1, "least multiplier"),
+    "k_hi": ({"exhaustive"}, 8, "greatest multiplier"),
+    "profile_cap": ({"exhaustive"}, DEFAULT_PROFILE_CAP, "most profiles"),
+    "seed_lo": ({"exhaustive", "seed"}, None, "least common seed"),
+    "seed_hi": ({"exhaustive", "seed"}, None, "greatest common seed"),
+    "base": ({"pot"}, "1", "power-of-two base"),
+    "optimize_base": ({"pot"}, False, "sweep every base in the octave"),
+    "max_rounds": ({"descent"}, 100, "most descent rounds"),
+}
+
+
 def cmd_solve(args) -> int:
+    # every option defaults to None, so a given one is told from a default
+    unread = []
+    for name, (methods, default, _) in _SOLVE_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.method not in methods:
+            unread.append("--" + name.replace("_", "-"))
+    if unread:
+        raise InputError(f"--method {args.method} does not read "
+                         f"{', '.join(unread)}")
     instance = load_instance(_read_bytes(args.instance))
     interval = None
     if args.seed_lo is not None or args.seed_hi is not None:
@@ -457,14 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
     p_solve.add_argument("--method", required=True,
                          choices=["exhaustive", "pot", "descent", "seed"])
-    p_solve.add_argument("--k-lo", type=int, default=1)
-    p_solve.add_argument("--k-hi", type=int, default=8)
-    p_solve.add_argument("--profile-cap", type=int, default=1_000_000)
-    p_solve.add_argument("--seed-lo", default=None)
-    p_solve.add_argument("--seed-hi", default=None)
-    p_solve.add_argument("--base", default="1")
-    p_solve.add_argument("--optimize-base", action="store_true")
-    p_solve.add_argument("--max-rounds", type=int, default=100)
+    for name, (methods, default, what) in _SOLVE_OPTIONS.items():
+        kind = ({"action": "store_true"} if default is False
+                else {"type": int} if isinstance(default, int) else {})
+        shown = "" if default in (None, False) else f", default {default}"
+        p_solve.add_argument(
+            "--" + name.replace("_", "-"), default=None, **kind,
+            help=f"{what} (--method {' or '.join(sorted(methods))}{shown})")
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -163,51 +164,17 @@ def format_rational(q: Fraction) -> str:
 
 def rational_to_decimal(q: Fraction, digits: int = 12) -> str:
     """Presentation-layer decimal rendering: `digits` significant digits,
-    rounded half to even, in integer arithmetic.
-
-    The exponent e with 10^e <= |q| < 10^(e+1) is estimated from bit lengths
-    and corrected by at most a step or two; the mantissa is one divmod of
-    |q| * 10^(digits-1-e). A carry that adds a digit (9.99.. -> 10.0) moves
-    the exponent up. Refuses digits below 1.
+    rounded half to even, by one correctly rounded decimal division whose
+    exponent range holds any rational. Refuses digits below 1.
     """
     if digits < 1:
         raise InputError(f"digits must be >= 1, got {digits}")
     if q == 0:
         return "0"
-    sign = "-" if q < 0 else ""
-    n, d = abs(q.numerator), q.denominator
-
-    def at_least(e: int) -> bool:     # n/d >= 10^e
-        return n >= d * 10 ** e if e >= 0 else n * 10 ** -e >= d
-
-    # with b the difference of the bit lengths, log10(n/d) lies between
-    # (b - 1)*log10(2) and (b + 1)*log10(2)
-    exp = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    while not at_least(exp):
-        exp -= 1
-    while at_least(exp + 1):
-        exp += 1
-    shift = digits - 1 - exp
-    if shift >= 0:
-        mantissa, rem = divmod(n * 10 ** shift, d)
-    else:
-        d *= 10 ** -shift
-        mantissa, rem = divmod(n, d)
-    if 2 * rem > d or (2 * rem == d and mantissa % 2):
-        mantissa += 1
-    digits_str = str(mantissa)
-    if len(digits_str) > digits:  # rounding overflowed, e.g. 9.99.. -> 10.0
-        digits_str = digits_str[:digits]
-        exp += 1
-    point = exp + 1
-    if 0 < point <= digits:
-        out = digits_str[:point] + "." + digits_str[point:]
-        out = out.rstrip(".") if out.endswith(".") else out
-    elif point <= 0:
-        out = "0." + "0" * (-point) + digits_str
-    else:
-        out = digits_str + "0" * (point - digits)
-    return sign + out.rstrip("0").rstrip(".") if "." in out else sign + out
+    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX,
+                  Emin=MIN_EMIN)
+    out = format(ctx.divide(Decimal(q.numerator), Decimal(q.denominator)), "f")
+    return out.rstrip("0").rstrip(".") if "." in out else out
 
 
 _KINDS = {k.value: k for k in CommodityKind}

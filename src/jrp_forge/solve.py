@@ -1,25 +1,20 @@
 """Policy search: seed scaling, exhaustive profiles, descent, power-of-two.
 
-Every winner is selected with exact rational comparisons. Optima of the form
-2*sqrt(A*B) are compared through A*B (and against rational endpoint costs
-through squares), so ties break deterministically and never through floats.
-exhaustive_search and power_of_two rank profiles by the plain integers of
-cost._profile_pricer: a*b over each profile's hyperperiod lcm(ks), with no
-Fraction and no square root until the winning seed is refined. The
-refinement, optimize_seed, reads the cost breakdown off the seed
-coefficients (A, B) and the union count of the multipliers instead of
-repricing the policy. power_of_two rounds to exponents by one rule on
-integer bit lengths, at a fixed base and across the optimized octave alike,
-from targets that are integer pairs over the pricer's scaled costs. Across
-the octave of bases each exponent falls at most once, at an exact rational
-point, so the sweep visits those points in order, keyed by integers: O(n
-log n) integer work plus one pricing per distinct pattern.
-coordinate_descent prices each trial move incrementally and in plain
-integers: only the moved cycle's standalone cost and the union rate change,
-the other cycles are scaled and pruned once per commodity, and each trial
-total is one integer fraction compared by cross-multiplication. The
-candidates are not sorted; an explicit tie rule makes the result independent
-of their order.
+Every winner is selected with exact rational comparisons, in one integer
+cost model: the costs cost._scaled_costs scales to integers over D and SB.
+exhaustive_search and power_of_two price profiles by cost._profile_pricer
+and rank each by its squared optimum cost times D*SB/4, an integer pair
+compared by cross-multiplication, with no Fraction and no square root until
+the winning seed is refined. The refinement, optimize_seed, reads the cost
+breakdown off the seed coefficients (A, B) and the union count of the
+multipliers instead of repricing the policy. power_of_two rounds to
+exponents by one rule on integer bit lengths; across the octave of bases
+each exponent falls at most once, at an exact rational point, so the
+optimized-base sweep visits those points in order, keyed by integers.
+coordinate_descent reads its start and trial constants off the same scaled
+costs and prices each trial move incrementally in plain integers, compared
+by cross-multiplication. The candidates are not sorted; an explicit tie
+rule makes the result independent of their order.
 """
 from __future__ import annotations
 
@@ -28,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from . import sync
 from .cost import (
@@ -39,7 +34,7 @@ from .cost import (
     seed_cost,
     total_cost,
 )
-from .eoq import optimal_cycle, sqrt_fraction, standalone_cost
+from .eoq import sqrt_fraction
 from .model import (
     InputError,
     Instance,
@@ -61,26 +56,6 @@ class SolveResult:
     method: str
     nodes_explored: int
     wall_time: float
-
-
-# ---------------------------------------------------------------------------
-# exact comparison of per-profile optima
-
-def _scaled_lt(x: tuple[bool, int, int], y: tuple[bool, int, int],
-               dsb: int) -> bool:
-    """x < y for integer candidates (root, p, q) of one profile scan.
-
-    A root candidate costs 2*sqrt(A*B) with A*B = p / (q*dsb); any other
-    costs the rational p/q. Every integer is positive, so cross-multiplying
-    (and squaring across kinds) keeps the order exact.
-    """
-    x_root, xp, xq = x
-    y_root, yp, yq = y
-    if x_root == y_root:
-        return xp * yq < yp * xq
-    if x_root:   # 2*sqrt(xp/(xq*dsb)) < yp/yq  <=>  4*xp*yq^2 < yp^2*xq*dsb
-        return 4 * xp * yq * yq < yp * yp * xq * dsb
-    return xp * xp * yq * dsb < 4 * yp * xq * xq
 
 
 def _normalize_interval(seed_interval) -> Optional[Interval]:
@@ -170,11 +145,11 @@ def exhaustive_search(instance: Instance, k_bounds,
     Profiles are scanned in lexicographic order over the instance's commodity
     order, so cost ties keep the lexicographically smallest profile.
 
-    The scan is exact integer arithmetic. cost._profile_pricer gives each
-    profile's integers a, b and H with A*B = a*b / (D*SB*H); interior optima
-    compare by cross-multiplying a*b with the other profile's H. A seed
-    interval's clamp tests and endpoint costs stay integer fractions as
-    well. Only the winning profile's seed is refined, by optimize_seed.
+    The scan is exact integer arithmetic. With cost._profile_pricer's
+    a, b and H, A*B = a*b / (D*SB*H); a profile ranks by its optimum cost
+    squared times D*SB/4: (a*b, H) at an interior seed, which costs
+    2*sqrt(A*B), and (N^2*D*SB, 4*M^2) at a clamped endpoint of cost N/M.
+    Only the winning profile's seed is refined, by optimize_seed.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -195,22 +170,25 @@ def exhaustive_search(instance: Instance, k_bounds,
     dsb = d * sb
     if interval is not None:
         (lo_n, lo_m), (hi_n, hi_m) = (q.as_integer_ratio() for q in interval)
-    best: Optional[tuple[bool, int, int]] = None
+    best_num = best_den = 0
     best_profile: Optional[tuple[int, ...]] = None
     ranges = [range(lo, hi + 1) for lo, hi in (bounds[cid] for cid in ids)]
     for ks in itertools.product(*ranges):
         a, b, h = price(ks)     # A*D*H, B*SB, lcm(ks)
-        cand = (True, a * b, h)
+        num, den = a * b, h
         if interval is not None:
             x, y = a * sb, b * d * h                    # A/B = x/y
             if x * lo_m * lo_m <= y * lo_n * lo_n:      # A/B <= lo^2
-                cand = (False, x * lo_m * lo_m + y * lo_n * lo_n,
-                        lo_n * lo_m * dsb * h)
+                en, em = lo_n, lo_m
             elif x * hi_m * hi_m >= y * hi_n * hi_n:    # A/B >= hi^2
-                cand = (False, x * hi_m * hi_m + y * hi_n * hi_n,
-                        hi_n * hi_m * dsb * h)
-        if best is None or _scaled_lt(cand, best, dsb):
-            best, best_profile = cand, ks
+                en, em = hi_n, hi_m
+            else:
+                en = 0
+            if en:      # beta = en/em costs A/beta + B*beta = cn/cm
+                cn, cm = x * em * em + y * en * en, en * em * dsb * h
+                num, den = cn * cn * dsb, 4 * cm * cm
+        if best_profile is None or num * best_den < best_num * den:
+            best_num, best_den, best_profile = num, den, ks
 
     assert best_profile is not None
     refined = optimize_seed(instance, dict(zip(ids, best_profile)),
@@ -222,19 +200,17 @@ def exhaustive_search(instance: Instance, k_bounds,
 # ---------------------------------------------------------------------------
 # coordinate descent
 
-CandidateFn = Callable[[Instance, Policy, str], Iterable[Fraction]]
-
-
 def default_candidates(instance: Instance, policy: Policy,
                        cid: str) -> set[Fraction]:
     """Integer cycles near the standalone optimum plus small multiples and
     unit fractions of the other commodities' current cycles."""
     c = instance.commodity(cid)
-    tstar = optimal_cycle(c).cycle
-    floor_t = tstar.numerator // tstar.denominator
+    k, lam, h = c.setup, c.demand, c.holding    # t*^2 = 2K/(lambda*h)
+    floor_t = math.isqrt(2 * k.numerator * lam.denominator * h.denominator
+                         // (k.denominator * lam.numerator * h.numerator))
     cands: set[Fraction] = set()
-    for k in range(max(1, floor_t - 2), floor_t + 3):
-        cands.add(Fraction(k))
+    for m in range(max(1, floor_t - 2), floor_t + 3):
+        cands.add(Fraction(m))
     for other, t in policy.cycles.items():
         if other == cid:
             continue
@@ -246,71 +222,69 @@ def default_candidates(instance: Instance, policy: Policy,
     return cands
 
 
-def _default_start(instance: Instance) -> Policy:
+def _default_start(ids: list[str], scaled: _ScaledCosts) -> Policy:
+    """Per commodity the cheaper of f = max(1, floor(t*)) and f + 1, ties to
+    f: g(f) > g(f+1) iff K/w = t*^2 > f*(f+1)."""
     cycles = {}
-    for c in instance.commodities:
-        tstar = optimal_cycle(c).cycle
-        floor_t = max(1, tstar.numerator // tstar.denominator)
-        lo, hi = Fraction(floor_t), Fraction(floor_t + 1)
-        cycles[c.id] = lo if standalone_cost(c, lo) <= standalone_cost(c, hi) else hi
+    for cid, s, w in zip(ids, scaled.setups, scaled.weights):
+        num, den = s * scaled.sb, w * scaled.d      # t*^2 = num/den
+        f = max(1, math.isqrt(num // den))
+        cycles[cid] = Fraction(f + 1 if num > f * (f + 1) * den else f)
     return Policy(cycles)
 
 
 def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
-                       candidate_fn: Optional[CandidateFn] = None,
                        max_rounds: int = 100,
                        cap: int | None = None) -> SolveResult:
     """Cycle-by-cycle improvement until a full pass finds nothing better.
 
-    Each commodity in turn is moved to the exact-cost-minimizing candidate
-    (ties broken toward the smaller cycle) while the others stay fixed. The
-    cost sequence is strictly decreasing, so termination is guaranteed.
+    Each commodity in turn moves to its cheapest default_candidates cycle
+    (ties toward the smaller cycle) while the others stay fixed; the cost
+    strictly decreases, so the search ends. The default start rounds each
+    standalone optimum t* to the cheaper neighbouring integer.
 
-    A trial changes one cycle, so it is priced incrementally and exactly:
-    rest + K/t + w*t + K0*UJR, where rest is the other commodities' fixed
-    standalone cost and the union rate num/den comes from sync._ujr_with,
-    which scales and prunes the other cycles once per commodity. With rest,
-    K, w and K0 put over one lcm d as integers cr, ck, cw, c0, a trial
-    t = p/q costs ((cr*pq + ck*q^2 + cw*p^2)*den + c0*num*pq) / (pq*den)
-    times 1/d, and trials compare by cross-multiplication, with no Fraction.
-    The candidates are visited in set order, unsorted: a trial replaces the
-    best when its total is strictly lower, or equal with a smaller t, so the
-    least (total, t) wins in any order. A move is made only when that total
-    is strictly below the current one. The start policy and every accepted
-    move go through total_cost.
+    A trial t = p/q changes one cycle, so it costs rest + K/t + w*t + K0*UJR
+    with rest the others' standalone cost and UJR = num/den from
+    sync._ujr_with, which prunes the other cycles once per commodity. Over
+    cost._scaled_costs, read once per solve (K0 = k0/D, K = s/D, w = W/SB),
+    and D*SB*rest = rn/rd, the total times rd*D*SB is
+    ((cr*pq + ck*q^2 + cw*p^2)*den + c0*num*pq) / (pq*den) with the integers
+    cr = rn, ck = rd*s*SB, cw = rd*W*D and c0 = rd*k0*SB; trials compare by
+    cross-multiplication. The candidates are visited unsorted: a trial
+    replaces the best when its total is strictly lower, or equal with a
+    smaller t, so the least (total, t) wins in any order. A move is made
+    only when strictly cheaper; the start and every move go through
+    total_cost.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
         raise InputError("cannot optimize an empty instance")
-    if candidate_fn is None:
-        candidate_fn = default_candidates
-    policy = start if start is not None else _default_start(instance)
+    ids = instance.ids()
+    scaled = _scaled_costs(instance)
+    d, sb = scaled.d, scaled.sb
+    policy = start if start is not None else _default_start(ids, scaled)
     current = total_cost(instance, policy, cap=cap)
-    k0 = instance.joint_setup
-    # each commodity's g(t) = K/t + w*t
-    setup_weight = [(c.id, c.setup, c.demand * c.holding / 2)
-                    for c in instance.commodities]
     nodes = 1
     for _ in range(max_rounds):
         improved = False
-        for cid, k, w in setup_weight:
+        for cid, s, w in zip(ids, scaled.setups, scaled.weights):
             t_now = policy.cycle(cid)
-            rest = current.standalone_total - (k / t_now + w * t_now)
-            rate = sync._ujr_with([policy.cycle(c.id) for c in instance.commodities
-                                   if c.id != cid], cap)
-            # d * (rest + K/t + w*t + K0*UJR) over the lcm d of the four
-            # denominators, so every trial is an integer fraction
-            (cr, ck, cw, c0), d = sync._scale_to_integers((rest, k, w, k0))
-            # the best so far: d*total = best_num/best_den at cycle bp/bq
-            best_t = t_now
-            pn, qn = bp, bq = t_now.numerator, t_now.denominator
-            best_num = current.total.numerator * d
+            pn, qn = t_now.numerator, t_now.denominator
+            # D*SB*rest: the standalone total less s*SB/t + W*D*t at t_now
+            rest = current.standalone_total * d * sb \
+                - Fraction(s * sb * qn * qn + w * d * pn * pn, pn * qn)
+            rn, rd = rest.numerator, rest.denominator
+            cr, ck, cw, c0 = rn, rd * s * sb, rd * w * d, rd * scaled.k0 * sb
+            rate = sync._ujr_with([policy.cycle(o) for o in ids if o != cid],
+                                  cap)
+            # the best so far: rd*D*SB*total = best_num/best_den at bp/bq
+            best_t, bp, bq = t_now, pn, qn
+            best_num = current.total.numerator * rd * d * sb
             best_den = current.total.denominator
             start_num, start_den = best_num, best_den
-            for t in set(candidate_fn(instance, policy, cid)):
-                # a non-rational candidate (a float) fails on .denominator
+            for t in default_candidates(instance, policy, cid):
                 q, p = t.denominator, t.numerator
-                if p <= 0 or (p == pn and q == qn):
+                if p == pn and q == qn:
                     continue
                 nodes += 1
                 num, den = rate(t)
@@ -444,11 +418,11 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     standalone optima, one rounding the joint-setup relaxation targets,
     which share one cycle across the cluster of most frequent commodities —
     and every distinct pattern is reduced to an integer multiplier profile.
-    Profiles are ranked by the integer A*B of cost._profile_pricer, the
-    first seen winning ties, and only the best one's common seed is
-    optimized exactly, so the returned policy is the best seed-scaled
-    power-of-two pattern of any base. nodes_explored counts the distinct
-    profiles priced.
+    Profiles are ranked by A*B as the integer pair (a*b, H) of
+    cost._profile_pricer, the first seen winning ties, and only the best
+    one's common seed is optimized exactly, so the returned policy is the
+    best seed-scaled power-of-two pattern of any base. nodes_explored
+    counts the distinct profiles priced.
 
     The octave is swept exactly: as the base rises from base to base*x,
     each exponent falls at most once, at the rational x^2 in (1, 4] that
@@ -459,9 +433,6 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     orders the thresholds by exact integer keys. A pattern is rebuilt
     and priced only at the first base and where one of its exponents falls,
     so a sweep costs O(n log n) integer work and at most 2n + 2 pricings.
-    Around the sweep the work is integer too: both target lists are integer
-    pairs from the pricer's scaled costs, and the winner's breakdown is read
-    off by optimize_seed.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -486,11 +457,10 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     sweeps = _octave_sweeps([_exponent_falls(sqs, base * base) for sqs
                              in (standalone_sqs, _cluster_targets(scaled))])
     price = _profile_pricer(scaled, cap)
-    dsb = scaled.d * scaled.sb
     seen: set[tuple[int, ...]] = set()
-    # (True, a*b, H) of the best profile, which costs 2*sqrt(A*B) with
-    # A*B = a*b / (D*SB*H); the first seen wins ties
-    best: Optional[tuple[bool, int, int]] = None
+    # a profile costs 2*sqrt(A*B) with A*B = a*b / (D*SB*H), so it ranks by
+    # a*b/H; the first seen wins ties
+    best_ab = best_h = 0
     best_profile: Optional[tuple[int, ...]] = None
     keys = sorted({key for _, at in sweeps for key in at})
     for key in [None, *keys]:
@@ -507,9 +477,8 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
                 continue
             seen.add(ks)
             a, b, h = price(ks)
-            cand = (True, a * b, h)
-            if best is None or _scaled_lt(cand, best, dsb):
-                best, best_profile = cand, ks
+            if best_profile is None or a * b * best_h < best_ab * h:
+                best_ab, best_h, best_profile = a * b, h, ks
 
     assert best_profile is not None
     refined = optimize_seed(instance, dict(zip(ids, best_profile)), cap=cap)

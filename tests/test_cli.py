@@ -141,6 +141,80 @@ def test_caps_at_the_bottom_of_their_range_run(capsys, single_files):
         assert rc == 0 and json.loads(out)["policy"]
 
 
+_METHODS = ("exhaustive", "pot", "descent", "seed")
+# each solve option with a value, and the methods that read it
+_SOLVE_READS = {
+    ("--k-lo", "1"): {"exhaustive"},
+    ("--k-hi", "8"): {"exhaustive"},
+    ("--profile-cap", "1000000"): {"exhaustive"},
+    ("--seed-lo", "1"): {"exhaustive", "seed"},
+    ("--seed-hi", "2"): {"exhaustive", "seed"},
+    ("--base", "1"): {"pot"},
+    ("--optimize-base",): {"pot"},
+    ("--max-rounds", "100"): {"descent"},
+}
+
+
+_UNREAD = [(option, method) for option, reads in _SOLVE_READS.items()
+           for method in _METHODS if method not in reads]
+
+
+@pytest.mark.parametrize("option, method", _UNREAD, ids=[
+    f"{method}{option[0]}" for option, method in _UNREAD])
+def test_solve_refuses_options_its_method_never_reads(capsys, monkeypatch,
+                                                      single_files, option,
+                                                      method):
+    # refused before any work, even at the option's default value
+    def never(*args, **kwargs):
+        raise AssertionError("called before the options were checked")
+
+    for name in ("load_instance", "exhaustive_search", "power_of_two",
+                 "coordinate_descent", "optimize_seed"):
+        monkeypatch.setattr(cli, name, never)
+    ipath, _ = single_files
+    rc, out, err = run(capsys, "solve", ipath, "--method", method, *option)
+    assert (rc, out) == (2, "")
+    assert f"error: --method {method} does not read {option[0]}\n" == err
+
+
+def test_solve_options_read_by_their_method(capsys, single_files):
+    # every unread option is named at once, after the range checks; an
+    # option its method reads, given at its default, changes nothing
+    ipath, _ = single_files
+    rc, _, err = run(capsys, "solve", ipath, "--method", "seed", "--k-hi", "4",
+                     "--base", "2", "--max-rounds", "3")
+    assert rc == 2
+    assert "--method seed does not read --k-hi, --base, --max-rounds" in err
+    rc, _, err = run(capsys, "solve", ipath, "--method", "pot",
+                     "--max-rounds", "-1")
+    assert rc == 2 and "max-rounds must be >= 0, got -1" in err
+    for method in _METHODS:
+        _, plain, _ = run(capsys, "solve", ipath, "--method", method)
+        for option, reads in _SOLVE_READS.items():
+            if method in reads and option[0] not in ("--seed-lo", "--seed-hi",
+                                                     "--optimize-base"):
+                rc, out, _ = run(capsys, "solve", ipath, "--method", method,
+                                 *option)
+                assert (rc, out) == (0, plain), (method, option)
+        if method in ("exhaustive", "seed"):
+            rc, out, _ = run(capsys, "solve", ipath, "--method", method,
+                             "--seed-lo", "1", "--seed-hi", "2")
+            assert rc == 0 and json.loads(out)["policy"]
+
+
+def test_solve_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for text in ("least multiplier (--method exhaustive, default 1)",
+                 "greatest multiplier (--method exhaustive, default 8)",
+                 "(--method exhaustive, default 1000000)",
+                 "least common seed (--method exhaustive or seed)",
+                 "power-of-two base (--method pot, default 1)",
+                 "most descent rounds (--method descent, default 100)"):
+        assert text in out
+
+
 def test_eval_missing_file(capsys, single_files, tmp_path):
     _, ppath = single_files
     rc, _, err = run(capsys, "eval", str(tmp_path / "nope.json"),

@@ -140,6 +140,18 @@ def test_rational_to_decimal_carry_adds_a_digit(sign, digits, exp, tail):
     assert F(got) == sign * F(10) ** (exp + digits)
 
 
+@settings(max_examples=40, derandomize=True)
+@given(signs, st.integers(1, 10**30), st.integers(1, 10**30), decimal_digits,
+       st.sampled_from((-1, 1)), st.integers(1000, 1300))
+def test_rational_to_decimal_far_beyond_float_range(sign, num, den, digits,
+                                                    side, exp):
+    # magnitudes past 10^+-1000, outside any default decimal context
+    q = sign * F(num, den) * F(10) ** (side * exp)
+    got = rational_to_decimal(q, digits)
+    assert got == reference_rational_to_decimal(q, digits)
+    assert abs(F(got) - q) <= abs(q) / 10 ** (digits - 1)
+
+
 @pytest.mark.parametrize("q", [F(0), F(293, 1), F(-1, 3)])
 @pytest.mark.parametrize("digits", [0, -1])
 def test_rational_to_decimal_refuses_digits_below_one(q, digits):

@@ -300,9 +300,10 @@ def test_exhaustive_matches_fraction_reference():
             mixed += "interior" in kinds and len(kinds) > 1
             winners[expect.method] += 1
     # interior and clamped candidates were compared with each other, and
-    # both endpoints won somewhere
+    # interior seeds and both endpoints won somewhere inside an interval
     assert kinds_seen == {"interior", "lo", "hi"}
     assert mixed >= 30
+    assert winners["seed(refined)"] + winners["seed(exact)"] >= 30
     assert winners["seed(clamped-lo)"] >= 10
     assert winners["seed(clamped-hi)"] >= 10
 
@@ -388,11 +389,50 @@ def test_coordinate_descent_int_start_matches_fraction_start():
             == (want.policy, want.cost, want.nodes_explored)
 
 
-def test_coordinate_descent_custom_candidates():
-    inst = single()
-    res = coordinate_descent(
-        inst, candidate_fn=lambda ins, pol, cid: [F(4), F(5), F(6)])
-    assert res.policy.cycles["a"] == F(5)
+def _floor(q: Fraction) -> int:
+    return q.numerator // q.denominator
+
+
+def _eoq_start(c: Commodity) -> Fraction:
+    """The default start by optimal_cycle and standalone_cost: the cheaper
+    of max(1, floor(t*)) and the next integer, ties to the smaller."""
+    lo = F(max(1, _floor(optimal_cycle(c).cycle)))
+    return lo if standalone_cost(c, lo) <= standalone_cost(c, lo + 1) else lo + 1
+
+
+def _start_and_floor_cases():
+    # t*^2 = K here: squares, exact ties f*(f+1), values just off both,
+    # and optima below 1
+    tiny = F(1, 10**12)
+    t_sqs = [F(1, 1000), F(1, 4), F(99, 100), 1 - tiny]
+    for f in range(1, 8):
+        for t_sq in (F(f * f), F(f * (f + 1))):
+            t_sqs += [t_sq - tiny, t_sq, t_sq + tiny]
+    yield from (_with_target(t_sq) for t_sq in t_sqs)
+    rng = random.Random(41)
+    for _ in range(300):
+        yield Instance((Commodity("a", F(rng.randint(1, 9), rng.randint(1, 9)),
+                                  F(rng.randint(1, 9), rng.randint(1, 9)),
+                                  F(rng.randint(1, 999), rng.randint(1, 99))),),
+                       F(1))
+
+
+def test_descent_start_and_candidates_match_the_eoq_optimum():
+    # the integer start and candidate floor agree with the Fraction root of
+    # optimal_cycle and the standalone_cost comparison, ties included
+    ties = 0
+    for inst in _start_and_floor_cases():
+        c = inst.commodities[0]
+        start = coordinate_descent(inst, max_rounds=0).policy
+        assert start.cycles == {"a": _eoq_start(c)}
+        f = _floor(optimal_cycle(c).cycle)
+        assert default_candidates(inst, start, "a") \
+            == {F(m) for m in range(max(1, f - 2), f + 3)}
+        lo = max(1, f)
+        ties += standalone_cost(c, F(lo)) == standalone_cost(c, F(lo + 1))
+    assert ties >= 7    # t*^2 = f*(f+1), f = 1..7, keeps f
+    assert coordinate_descent(_with_target(F(12)), max_rounds=0) \
+        .policy.cycle("a") == 3
 
 
 def test_descent_matches_exhaustive_often():
@@ -420,18 +460,24 @@ def _typed(policy: Policy) -> dict:
 
 
 def _mixed_candidates(instance, policy, cid):
-    # ints and equal Fractions, duplicates, non-positive values, the current
-    # cycle and rationals derived from the others' cycles
+    # integers, the current cycle and rationals derived from the others'
+    # cycles, as default_candidates returns them: a set of Fractions
     others = [t for other, t in policy.cycles.items() if other != cid]
-    return ([0, -2, 1, 2, 3, 4, 6, 8, F(8), F(5, 2), F(16, 3),
-             policy.cycle(cid)]
-            + [t.numerator // t.denominator + 1 for t in others]
-            + [t * F(3, 2) for t in others[:3]])
+    return ({F(t) for t in (1, 2, 3, 4, 6, 8)} | {F(5, 2), F(16, 3)}
+            | {F(policy.cycle(cid))} | {F(_floor(t) + 1) for t in others}
+            | {t * F(3, 2) for t in others[:3]})
 
 
-def test_descent_matches_total_cost_reference():
+def _descent_with(monkeypatch, candidates, instance, **kwargs):
+    """coordinate_descent with default_candidates replaced by `candidates`."""
+    with monkeypatch.context() as m:
+        m.setattr(solve_mod, "default_candidates", candidates)
+        return coordinate_descent(instance, **kwargs)
+
+
+def test_descent_matches_total_cost_reference(monkeypatch):
     rng = random.Random(2024)
-    runs = int_moves = 0
+    runs = 0
     for n in range(2, 17):
         inst = _random_instance(rng, n)
         rational_start = Policy({cid: F(rng.randint(1, 40), rng.randint(1, 6))
@@ -442,8 +488,8 @@ def test_descent_matches_total_cost_reference():
             cases = [cases[0], cases[2]] if n == 16 else [cases[n % 2 * 2]]
         for start, cand_fn in cases:
             for max_rounds in ((1, 100) if n <= 8 else (100,)):
-                got = coordinate_descent(inst, start=start, candidate_fn=cand_fn,
-                                         max_rounds=max_rounds)
+                got = _descent_with(monkeypatch, cand_fn or default_candidates,
+                                    inst, start=start, max_rounds=max_rounds)
                 policy, cost, nodes = reference_descent(
                     inst, start or coordinate_descent(inst, max_rounds=0).policy,
                     cand_fn or default_candidates, max_rounds=max_rounds)
@@ -451,12 +497,10 @@ def test_descent_matches_total_cost_reference():
                 assert got.cost == cost
                 assert got.nodes_explored == nodes
                 runs += 1
-                int_moves += any(type(t) is int for t in policy.cycles.values())
     assert runs == 7 * 3 * 2 + 7 + 2
-    assert int_moves > 0
 
 
-def test_descent_cap_refusal_matches_ujr():
+def test_descent_cap_refusal_matches_ujr(monkeypatch):
     inst = trio()
     # the start policy alone holds 2 series after pruning
     start = Policy({"c0": F(2), "c1": F(3), "c2": F(3)})
@@ -470,11 +514,11 @@ def test_descent_cap_refusal_matches_ujr():
     # series (its own cycle 3 stays with c2) too costly to accept, so only
     # the trial itself can refuse it
     def new_series(instance, policy, cid):
-        return [F(101)] if cid == "c1" else []
+        return {F(101)} if cid == "c1" else set()
     with pytest.raises(sync.CapExceeded) as from_ujr:
         sync.ujr([F(2), F(101), F(3)], cap=2)
     with pytest.raises(sync.CapExceeded) as from_descent:
-        coordinate_descent(inst, start=start, candidate_fn=new_series, cap=2)
+        _descent_with(monkeypatch, new_series, inst, start=start, cap=2)
     with pytest.raises(sync.CapExceeded) as from_reference:
         reference_descent(inst, start, new_series, cap=2)
     assert str(from_descent.value) == str(from_ujr.value) \
@@ -483,9 +527,8 @@ def test_descent_cap_refusal_matches_ujr():
     # a trial cycle another commodity already has adds no series: c2 tries
     # c0's cycle 2 against the others' two series
     def repeated_series(instance, policy, cid):
-        return [F(2)] if cid == "c2" else []
-    res = coordinate_descent(inst, start=start, candidate_fn=repeated_series,
-                             cap=2)
+        return {F(2)} if cid == "c2" else set()
+    res = _descent_with(monkeypatch, repeated_series, inst, start=start, cap=2)
     assert (res.policy, res.nodes_explored) == (start, 2)
     assert res.policy == reference_descent(inst, start, repeated_series,
                                            cap=2)[0]
@@ -494,11 +537,11 @@ def test_descent_cap_refusal_matches_ujr():
     # every cycle. c2 moves to 6 within a cap of 2, and from 4 to 6 within
     # a cap of 1, where 2 divides every cycle
     def absorbed_series(instance, policy, cid):
-        return [F(6), F(12)] if cid == "c2" else [F(1)]
+        return {F(6), F(12)} if cid == "c2" else {F(1)}
     narrow = Policy({"c0": F(2), "c1": F(4), "c2": F(4)})
     for cap, start in ((2, start), (1, narrow)):
-        res = coordinate_descent(inst, start=start,
-                                 candidate_fn=absorbed_series, cap=cap)
+        res = _descent_with(monkeypatch, absorbed_series, inst, start=start,
+                            cap=cap)
         policy, cost, nodes = reference_descent(inst, start, absorbed_series,
                                                 cap=cap)
         assert (res.policy, res.cost, res.nodes_explored) \
@@ -512,25 +555,26 @@ def _in_orders(cands, seed):
     return (sorted(cands), sorted(cands, reverse=True), shuffled)
 
 
-def _descent_result(instance, start, candidate_fn):
-    res = coordinate_descent(instance, start=start, candidate_fn=candidate_fn)
-    return _typed(res.policy), res.cost, res.nodes_explored
+def test_descent_does_not_depend_on_candidate_order(monkeypatch):
+    # the candidates come back in a given order, not a set's
+    def descent_result(instance, start, candidates):
+        res = _descent_with(monkeypatch, candidates, instance, start=start)
+        return _typed(res.policy), res.cost, res.nodes_explored
 
-
-def test_descent_does_not_depend_on_candidate_order():
     # "a" sits on cycle 1, so every integer cycle of "b" has union rate 1
     # and b pays 30/t + t + 1: cycles 5 and 6 tie exactly at the minimum
     inst = Instance((Commodity("a", F(2), F(1), F(3)),
                      Commodity("b", F(2), F(1), F(30))), F(1))
     start = Policy({"a": F(1), "b": F(10)})
-    cands = [F(1), 2, F(3), 4, 5, F(6), F(7), 8, F(11, 2), F(9, 2), F(3, 2)]
-    assert total_cost(inst, Policy({"a": F(1), "b": 5})).total \
+    cands = [F(t) for t in (1, 2, 3, 4, 5, 6, 7, 8)] \
+        + [F(11, 2), F(9, 2), F(3, 2)]
+    assert total_cost(inst, Policy({"a": F(1), "b": F(5)})).total \
         == total_cost(inst, Policy({"a": F(1), "b": F(6)})).total
     want = None
     for order in _in_orders(cands, 13):
-        got = _descent_result(inst, start, lambda ins, pol, cid, order=order:
-                              order if cid == "b" else [])
-        assert got[0]["b"] == (int, 5)    # the smaller of the tied cycles
+        got = descent_result(inst, start, lambda ins, pol, cid, order=order:
+                             order if cid == "b" else [])
+        assert got[0]["b"] == (F, 5)    # the smaller of the tied cycles
         assert want is None or got == want
         want = got
     policy, cost, nodes = reference_descent(
@@ -542,9 +586,9 @@ def test_descent_does_not_depend_on_candidate_order():
     for n in (2, 3, 5, 8):
         inst = _random_instance(rng, n)
         start = coordinate_descent(inst, max_rounds=0).policy
-        cands = sorted(set(_mixed_candidates(inst, start, inst.ids()[0])))
-        first, *others = [_descent_result(inst, start,
-                                          lambda ins, pol, cid, order=order: order)
+        cands = sorted(_mixed_candidates(inst, start, inst.ids()[0]))
+        first, *others = [descent_result(inst, start,
+                                         lambda ins, pol, cid, order=order: order)
                           for order in _in_orders(cands, n)]
         assert all(got == first for got in others), n
 
