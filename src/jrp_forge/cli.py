@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -50,6 +51,8 @@ from .sat import (
 )
 from .solve import (
     DEFAULT_PROFILE_CAP,
+    _normalize_base,
+    _normalize_interval,
     coordinate_descent,
     exhaustive_search,
     optimize_seed,
@@ -80,18 +83,36 @@ def _q(value: Fraction, digits: int) -> dict:
 
 
 def _breakdown_fields(b: CostBreakdown) -> list[tuple[str, Fraction]]:
-    fields = [
-        ("standalone_total", b.standalone_total),
-        ("joint_frequency", b.joint_frequency),
-        ("joint_cost", b.joint_cost),
-        ("total", b.total),
-    ]
-    for name, val in (("tc_constants", b.tc_constants),
-                      ("tc_variables", b.tc_variables),
-                      ("tc_clauses", b.tc_clauses)):
-        if val is not None:
-            fields.append((name, val))
-    return fields
+    # in field order, the class totals only where decompose set them
+    return [(f.name, getattr(b, f.name)) for f in dataclasses.fields(b)
+            if getattr(b, f.name) is not None]
+
+
+def _read_options(args, options: dict, flag: str, choice: str) -> None:
+    """Default the unset options of the table; refuse the set ones that
+    `flag choice` never reads (a given option is never None)."""
+    unread = []
+    for name, (readers, default, _) in options.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif choice not in readers:
+            unread.append("--" + name.replace("_", "-"))
+    if unread:
+        raise InputError(f"{flag} {choice} does not read {', '.join(unread)}")
+
+
+def _add_options(parser: argparse.ArgumentParser, options: dict,
+                 flag: str) -> None:
+    """An argument per table entry, each defaulting to None: a switch for a
+    False default, an integer for an int, repeatable for a tuple."""
+    for name, (readers, default, what) in options.items():
+        kind = ({"action": "store_true"} if default is False
+                else {"action": "append"} if default == ()
+                else {"type": int} if type(default) is int else {})
+        shown = f", default {default}" if type(default) in (int, str) else ""
+        parser.add_argument(
+            "--" + name.replace("_", "-"), default=None, **kind,
+            help=f"{what} ({flag} {' or '.join(sorted(readers))}{shown})")
 
 
 def _csv_print(header: list[str], rows: list[list[str]]) -> None:
@@ -140,33 +161,27 @@ _SOLVE_OPTIONS = {
 
 
 def cmd_solve(args) -> int:
-    # every option defaults to None, so a given one is told from a default
-    unread = []
-    for name, (methods, default, _) in _SOLVE_OPTIONS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif args.method not in methods:
-            unread.append("--" + name.replace("_", "-"))
-    if unread:
-        raise InputError(f"--method {args.method} does not read "
-                         f"{', '.join(unread)}")
-    instance = load_instance(_read_bytes(args.instance))
+    _read_options(args, _SOLVE_OPTIONS, "--method", args.method)
+    # every value is checked before the instance is read
+    if args.k_hi < args.k_lo:
+        raise InputError(f"--k-lo {args.k_lo} exceeds --k-hi {args.k_hi}")
     interval = None
     if args.seed_lo is not None or args.seed_hi is not None:
         if args.seed_lo is None or args.seed_hi is None:
             raise InputError("--seed-lo and --seed-hi must be given together")
-        interval = (parse_rational(args.seed_lo, where="--seed-lo"),
-                    parse_rational(args.seed_hi, where="--seed-hi"))
+        interval = _normalize_interval(
+            (parse_rational(args.seed_lo, where="--seed-lo"),
+             parse_rational(args.seed_hi, where="--seed-hi")))
+    base = _normalize_base(parse_rational(args.base, where="--base"))
+    instance = load_instance(_read_bytes(args.instance))
 
     if args.method == "exhaustive":
         result = exhaustive_search(instance, (args.k_lo, args.k_hi),
                                    seed_interval=interval,
                                    profile_cap=args.profile_cap, cap=args.cap)
     elif args.method == "pot":
-        result = power_of_two(instance,
-                              base=parse_rational(args.base, where="--base"),
-                              optimize_base=args.optimize_base,
-                              cap=args.cap)
+        result = power_of_two(instance, base=base,
+                              optimize_base=args.optimize_base, cap=args.cap)
     elif args.method == "descent":
         result = coordinate_descent(instance, max_rounds=args.max_rounds,
                                     cap=args.cap)
@@ -199,16 +214,15 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # reduce
 
+_ALPHAS = ("alpha_c", "alpha_v_bar", "alpha_v", "alpha_n")
+
+
 def _alpha_from_args(args) -> ReductionConstants:
     kwargs = {}
-    if args.alpha_c is not None:
-        kwargs["alpha_c"] = parse_rational(args.alpha_c, where="--alpha-c")
-    if args.alpha_v_bar is not None:
-        kwargs["alpha_v_bar"] = parse_rational(args.alpha_v_bar, where="--alpha-v-bar")
-    if args.alpha_v is not None:
-        kwargs["alpha_v"] = parse_rational(args.alpha_v, where="--alpha-v")
-    if args.alpha_n is not None:
-        kwargs["alpha_n"] = parse_rational(args.alpha_n, where="--alpha-n")
+    for name in _ALPHAS:
+        if getattr(args, name) is not None:
+            kwargs[name] = parse_rational(getattr(args, name),
+                                          where="--" + name.replace("_", "-"))
     return ReductionConstants(**kwargs)
 
 
@@ -223,14 +237,12 @@ def cmd_reduce(args) -> int:
     payload = reduction_to_json(output)
     with open(args.out, "wb") as fh:
         fh.write(payload)
-    counts = {"constant": 0, "variable": 0, "clause": 0}
-    for c in output.instance.commodities:
-        counts[c.kind.value] += 1
     _emit_json({
         "out": args.out,
         "variables": len(output.pairs),
         "clauses": len(output.clause_targets),
-        "constants": counts["constant"],
+        "constants": sum(c.kind is CommodityKind.CONSTANT
+                         for c in output.instance.commodities),
         "commodities": len(output.instance.commodities),
         "delta": _q(output.delta, args.digits),
         "scheme": CONSTANTS_SCHEME,
@@ -242,19 +254,19 @@ def cmd_reduce(args) -> int:
 # sat
 
 def cmd_sat(args) -> int:
+    if args.echo and (args.solve or args.check_3sat):
+        raise InputError("--echo does not read --solve or --check-3sat")
     formula = parse_dimacs(_read_text(args.cnf))
-    doc: dict[str, object] = {
-        "vars": formula.n_vars,
-        "clauses": len(formula.clauses),
-    }
+    if args.echo:
+        sys.stdout.write(serialize_dimacs(formula))
+        return 0
+    doc: dict[str, object] = {"vars": formula.n_vars,
+                              "clauses": len(formula.clauses)}
     if args.check_3sat:
         shape = validate_3sat(formula)
         doc["three_sat"] = shape.ok
         if not shape.ok:
             doc["findings"] = list(shape.findings)
-    if args.echo:
-        sys.stdout.write(serialize_dimacs(formula))
-        return 0
     if args.solve:
         assignment = brute_force_sat(formula)
         doc["satisfiable"] = assignment is not None
@@ -272,8 +284,6 @@ def _row(name: str, ok: bool, lhs: str, rhs: str) -> dict:
 
 
 def _suite_lemmas(args) -> list[dict]:
-    if args.r_max < 2:      # no fraction q/r with 1 <= q < r to check
-        raise InputError(f"--r-max must be >= 2, got {args.r_max}")
     checks: list[dict] = []
     output = reduce_formula(CnfFormula(args.n, ()))
     inst = output.instance
@@ -352,13 +362,9 @@ _DEFAULT_ROUNDTRIP = [
 
 
 def _suite_roundtrip(args) -> list[dict]:
-    cases = []
-    if args.cnf:
-        for path in args.cnf:
-            cases.append((path, parse_dimacs(_read_text(path))))
-    else:
-        cases = [(name, CnfFormula(3, clauses))
-                 for name, clauses in _DEFAULT_ROUNDTRIP]
+    cases = ([(path, parse_dimacs(_read_text(path))) for path in args.cnf]
+             or [(name, CnfFormula(3, clauses))
+                 for name, clauses in _DEFAULT_ROUNDTRIP])
     checks = []
     for name, formula in cases:
         report = verify_roundtrip(formula)
@@ -389,8 +395,6 @@ def _random_instance(rng: random.Random, n: int) -> Instance:
 
 
 def _suite_pot_ratio(args) -> list[dict]:
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
     rng = random.Random(args.rng_seed)
     worst = Fraction(0)
     failures = 0
@@ -408,7 +412,19 @@ def _suite_pot_ratio(args) -> list[dict]:
         f"<= {rational_to_decimal(POT_RATIO_BOUND, 8)}; {failures} over bound")]
 
 
+# check option -> (the suites that read it, its default, its help)
+_CHECK_OPTIONS = {
+    "n": ({"lemmas"}, 2, "variable count of the generated formula"),
+    "r_max": ({"lemmas"}, 200, "greatest denominator of the cross-seed bound"),
+    "trials": ({"pot-ratio"}, 100, "random instances"),
+    "k_hi": ({"pot-ratio"}, 8, "greatest multiplier of the exhaustive baseline"),
+    "rng_seed": ({"pot-ratio"}, 0, "seed of the random instances"),
+    "cnf": ({"roundtrip"}, (), "DIMACS file, repeatable"),
+}
+
+
 def cmd_check(args) -> int:
+    _read_options(args, _CHECK_OPTIONS, "--suite", args.suite)
     if args.suite == "lemmas":
         checks = _suite_lemmas(args)
     elif args.suite == "roundtrip":
@@ -431,8 +447,6 @@ def cmd_gen(args) -> int:
         raise InputError(f"--k-range must be LO:HI integers, got {args.k_range!r}")
     if lo < 1 or hi < lo:
         raise InputError(f"--k-range must satisfy 1 <= LO <= HI, got {args.k_range!r}")
-    if args.n < 1:
-        raise InputError(f"--n must be >= 1, got {args.n}")
     rng = random.Random(args.rng_seed)
     commodities = []
     for i in range(args.n):
@@ -481,23 +495,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
     p_solve.add_argument("--method", required=True,
                          choices=["exhaustive", "pot", "descent", "seed"])
-    for name, (methods, default, what) in _SOLVE_OPTIONS.items():
-        kind = ({"action": "store_true"} if default is False
-                else {"type": int} if isinstance(default, int) else {})
-        shown = "" if default in (None, False) else f", default {default}"
-        p_solve.add_argument(
-            "--" + name.replace("_", "-"), default=None, **kind,
-            help=f"{what} (--method {' or '.join(sorted(methods))}{shown})")
+    _add_options(p_solve, _SOLVE_OPTIONS, "--method")
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="compile a 3SAT file to an instance")
     p_reduce.add_argument("cnf")
     p_reduce.add_argument("--out", required=True)
-    p_reduce.add_argument("--alpha-c", default=None)
-    p_reduce.add_argument("--alpha-v-bar", default=None)
-    p_reduce.add_argument("--alpha-v", default=None)
-    p_reduce.add_argument("--alpha-n", default=None)
+    for name in _ALPHAS:
+        p_reduce.add_argument("--" + name.replace("_", "-"), default=None)
     p_reduce.add_argument("--digits", type=int, default=12,
                           help="decimal digits in rendered columns")
     p_reduce.set_defaults(func=cmd_reduce)
@@ -513,14 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a property suite")
     p_check.add_argument("--suite", required=True,
                          choices=["lemmas", "roundtrip", "pot-ratio"])
-    p_check.add_argument("--n", type=int, default=2,
-                         help="variable count for generated instances")
-    p_check.add_argument("--r-max", type=int, default=200)
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--k-hi", type=int, default=8)
-    p_check.add_argument("--rng-seed", type=int, default=0)
-    p_check.add_argument("--cnf", action="append", default=None,
-                         help="DIMACS file for the roundtrip suite (repeatable)")
+    _add_options(p_check, _CHECK_OPTIONS, "--suite")
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
@@ -542,13 +541,15 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        # checked once here, so a bad value is refused before any work
+        # checked once here, so a bad value is refused before any work; an
+        # --r-max below 2 leaves the lemmas no fraction q/r with 1 <= q < r
         for name, least in (("digits", 1), ("cap", 1), ("profile_cap", 1),
-                            ("max_rounds", 0)):
+                            ("max_rounds", 0), ("k_lo", 1), ("k_hi", 1),
+                            ("trials", 1), ("r_max", 2), ("n", 1)):
             value = getattr(args, name, None)
             if value is not None and value < least:
                 flag = name.replace("_", "-")
-                raise InputError(f"{flag} must be >= {least}, got {value}")
+                raise InputError(f"--{flag} must be >= {least}, got {value}")
         return args.func(args)
     except ConfigRejected as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)

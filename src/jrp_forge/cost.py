@@ -160,43 +160,42 @@ def jr_bounds(instance: Instance, policy: Policy, commodity_id: str,
 
 
 class _ScaledCosts(NamedTuple):
-    """An instance's costs as integers: K0 and the setups over their
-    denominator lcm d, the holding weights w = lambda*h/2 over theirs, sb."""
+    """An instance's costs as integers over one denominator, the scale S:
+    K0 = k0/S, each setup K = s/S and each holding weight lambda*h/2 = w/S.
+    S is the lcm of the denominators of all of them."""
     k0: int
     setups: list[int]
     weights: list[int]
-    d: int
-    sb: int
+    scale: int
 
 
 def _scaled_costs(instance: Instance) -> _ScaledCosts:
-    (k0, *setups), d = sync._scale_to_integers(
-        [instance.joint_setup, *(c.setup for c in instance.commodities)])
+    parts = [(q.numerator, q.denominator) for q in
+             (instance.joint_setup, *(c.setup for c in instance.commodities))]
     # each weight in lowest terms from the integers of lambda and h, which
     # is several times cheaper than Fraction products
-    parts = []
     for c in instance.commodities:
         num = c.demand.numerator * c.holding.numerator
         den = 2 * c.demand.denominator * c.holding.denominator
         g = gcd(num, den)
         parts.append((num // g, den // g))
-    sb = lcm(*(den for _, den in parts))
-    return _ScaledCosts(k0, setups, [num * (sb // den) for num, den in parts],
-                        d, sb)
+    scale = lcm(*(den for _, den in parts))
+    k0, *ints = (num * (scale // den) for num, den in parts)
+    n = len(instance.commodities)
+    return _ScaledCosts(k0, ints[:n], ints[n:], scale)
 
 
 def _profile_pricer(scaled: _ScaledCosts, cap: int | None):
     """Integer prices of multiplier profiles.
 
-    With D and SB the lcms of the setup denominators (K0 included) and of
-    the holding-weight denominators, scaled.d and scaled.sb, and H = lcm(ks)
-    a profile's hyperperiod, cost(beta) = A/beta + B*beta has integer
-    a = A*D*H and b = B*SB, so A*B = a*b / (D*SB*H). The returned price(ks)
-    gives (a, b, H) for multipliers ks in commodity order. The joint term of
-    a is K0*D times the union count of sync's integer core, scaled from the
-    core's hyperperiod up to H, computed once per distinct set of
-    multipliers; as in ujr, the cap counts the multipliers left after the
-    core prunes those another divides.
+    With S the scale of scaled and H = lcm(ks) a profile's hyperperiod,
+    cost(beta) = A/beta + B*beta has integer a = A*S*H and b = B*S, so
+    A*B = a*b / (S^2*H). The returned price(ks) gives (a, b, H) for
+    multipliers ks in commodity order. The joint term of a is K0*S times
+    the union count of sync's integer core, scaled from the core's
+    hyperperiod up to H, computed once per distinct set of multipliers; as
+    in ujr, the cap counts the multipliers left after the core prunes those
+    another divides.
     """
     k0_int, setup_ints, weight_ints = scaled.k0, scaled.setups, scaled.weights
     joint_cache: dict[frozenset[int], tuple[int, int]] = {}
@@ -237,4 +236,4 @@ def seed_cost(instance: Instance, profile: SeedProfile,
             raise InputError(f"multiplier for {c.id!r} must be a positive integer")
     scaled = _scaled_costs(instance)
     a, b, h = _profile_pricer(scaled, cap)(ks)
-    return Fraction(a, scaled.d * h), Fraction(b, scaled.sb)
+    return Fraction(a, scaled.scale * h), Fraction(b, scaled.scale)

@@ -529,12 +529,12 @@ class _AssignmentTables:
     At seed 1 every cycle of an assignment policy is an integer (the anchor
     and clause targets and the chosen primes), so the policy is a
     multiplier profile at beta = 1, priced exactly by cost's shared
-    _profile_pricer as a/(D*H) + b/SB. One profile template holds the
-    targets at their commodities' positions and a slot per variable for its
-    chosen prime. A clause is synchronized when a chosen prime divides its
-    target; each clause keeps two bit masks (variable i at bit n-1-i, as in
-    the scan order) of the variables whose high, and whose low, prime
-    divides it.
+    _profile_pricer as (a + b*H) / (S*H), S the scale of the costs. One
+    profile template holds the targets at their commodities' positions and
+    a slot per variable for its chosen prime. A clause is synchronized when
+    a chosen prime divides its target; each clause keeps two bit masks
+    (variable i at bit n-1-i, as in the scan order) of the variables whose
+    high, and whose low, prime divides it.
     """
 
     def __init__(self, output: ReductionOutput, cap: int | None):
@@ -561,8 +561,7 @@ class _AssignmentTables:
         for slot, pair, v in zip(self.slots, self.primes, assignment):
             ks[slot] = pair[v]
         a, b, h = self.pricer(tuple(ks))
-        d, sb = self.scaled.d, self.scaled.sb
-        cost = Fraction(a * sb + b * d * h, d * sb * h)
+        cost = Fraction(a + b * h, self.scaled.scale * h)
         mask = 0
         for v in assignment:
             mask = 2 * mask + v

@@ -1,9 +1,9 @@
 """Policy search: seed scaling, exhaustive profiles, descent, power-of-two.
 
 Every winner is selected with exact rational comparisons, in one integer
-cost model: the costs cost._scaled_costs scales to integers over D and SB.
+cost model: the costs cost._scaled_costs puts over one integer scale S.
 exhaustive_search and power_of_two price profiles by cost._profile_pricer
-and rank each by its squared optimum cost times D*SB/4, an integer pair
+and rank each by its squared optimum cost times S^2/4, an integer pair
 compared by cross-multiplication, with no Fraction and no square root until
 the winning seed is refined. The refinement, optimize_seed, reads the cost
 breakdown off the seed coefficients (A, B) and the union count of the
@@ -68,8 +68,11 @@ def _normalize_interval(seed_interval) -> Optional[Interval]:
     return lo, hi
 
 
-def _multipliers(profile: ProfileLike) -> dict[str, int]:
-    return dict(profile.multipliers) if isinstance(profile, SeedProfile) else dict(profile)
+def _normalize_base(base) -> Fraction:
+    base = Fraction(base)
+    if base <= 0:
+        raise InputError(f"base must be > 0, got {base}")
+    return base
 
 
 def _best_seed(a: Fraction, b: Fraction,
@@ -104,7 +107,8 @@ def optimize_seed(instance: Instance, profile: ProfileLike,
     if not instance.commodities:
         raise InputError("cannot optimize an empty instance")
     interval = _normalize_interval(seed_interval)
-    mult = _multipliers(profile)
+    mult = dict(profile.multipliers if isinstance(profile, SeedProfile)
+                else profile)
     a, b = seed_cost(instance, SeedProfile(mult), cap=cap)
     beta, where, exact = _best_seed(a, b, interval)
     if where == "interior":
@@ -145,11 +149,12 @@ def exhaustive_search(instance: Instance, k_bounds,
     Profiles are scanned in lexicographic order over the instance's commodity
     order, so cost ties keep the lexicographically smallest profile.
 
-    The scan is exact integer arithmetic. With cost._profile_pricer's
-    a, b and H, A*B = a*b / (D*SB*H); a profile ranks by its optimum cost
-    squared times D*SB/4: (a*b, H) at an interior seed, which costs
-    2*sqrt(A*B), and (N^2*D*SB, 4*M^2) at a clamped endpoint of cost N/M.
-    Only the winning profile's seed is refined, by optimize_seed.
+    The scan is exact integer arithmetic. With cost._profile_pricer's a, b
+    and H, A*B = a*b / (S^2*H); a profile ranks by its optimum cost squared
+    times S^2/4: (a*b, H) at an interior seed, which costs 2*sqrt(A*B), and
+    (cn^2, 4*cm^2) at a clamped endpoint en/em, which costs cn / (S*cm) with
+    cn = a*em^2 + b*H*en^2 and cm = en*em*H. Only the winning profile's seed
+    is refined, by optimize_seed.
     """
     t0 = time.perf_counter()
     if not instance.commodities:
@@ -166,27 +171,25 @@ def exhaustive_search(instance: Instance, k_bounds,
     ids = instance.ids()
     scaled = _scaled_costs(instance)
     price = _profile_pricer(scaled, cap)
-    d, sb = scaled.d, scaled.sb
-    dsb = d * sb
     if interval is not None:
         (lo_n, lo_m), (hi_n, hi_m) = (q.as_integer_ratio() for q in interval)
     best_num = best_den = 0
     best_profile: Optional[tuple[int, ...]] = None
     ranges = [range(lo, hi + 1) for lo, hi in (bounds[cid] for cid in ids)]
     for ks in itertools.product(*ranges):
-        a, b, h = price(ks)     # A*D*H, B*SB, lcm(ks)
+        a, b, h = price(ks)     # A*S*H, B*S, lcm(ks)
         num, den = a * b, h
         if interval is not None:
-            x, y = a * sb, b * d * h                    # A/B = x/y
-            if x * lo_m * lo_m <= y * lo_n * lo_n:      # A/B <= lo^2
+            bh = b * h                                  # A/B = a/bh
+            if a * lo_m * lo_m <= bh * lo_n * lo_n:     # A/B <= lo^2
                 en, em = lo_n, lo_m
-            elif x * hi_m * hi_m >= y * hi_n * hi_n:    # A/B >= hi^2
+            elif a * hi_m * hi_m >= bh * hi_n * hi_n:   # A/B >= hi^2
                 en, em = hi_n, hi_m
             else:
                 en = 0
-            if en:      # beta = en/em costs A/beta + B*beta = cn/cm
-                cn, cm = x * em * em + y * en * en, en * em * dsb * h
-                num, den = cn * cn * dsb, 4 * cm * cm
+            if en:      # beta = en/em costs A/beta + B*beta = cn/(S*cm)
+                cn, cm = a * em * em + bh * en * en, en * em * h
+                num, den = cn * cn, 4 * cm * cm
         if best_profile is None or num * best_den < best_num * den:
             best_num, best_den, best_profile = num, den, ks
 
@@ -224,12 +227,11 @@ def default_candidates(instance: Instance, policy: Policy,
 
 def _default_start(ids: list[str], scaled: _ScaledCosts) -> Policy:
     """Per commodity the cheaper of f = max(1, floor(t*)) and f + 1, ties to
-    f: g(f) > g(f+1) iff K/w = t*^2 > f*(f+1)."""
+    f: g(f) > g(f+1) iff t*^2 = s/w > f*(f+1), s and w over the scale."""
     cycles = {}
     for cid, s, w in zip(ids, scaled.setups, scaled.weights):
-        num, den = s * scaled.sb, w * scaled.d      # t*^2 = num/den
-        f = max(1, math.isqrt(num // den))
-        cycles[cid] = Fraction(f + 1 if num > f * (f + 1) * den else f)
+        f = max(1, math.isqrt(s // w))
+        cycles[cid] = Fraction(f + 1 if s > f * (f + 1) * w else f)
     return Policy(cycles)
 
 
@@ -246,10 +248,10 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
     A trial t = p/q changes one cycle, so it costs rest + K/t + w*t + K0*UJR
     with rest the others' standalone cost and UJR = num/den from
     sync._ujr_with, which prunes the other cycles once per commodity. Over
-    cost._scaled_costs, read once per solve (K0 = k0/D, K = s/D, w = W/SB),
-    and D*SB*rest = rn/rd, the total times rd*D*SB is
+    cost._scaled_costs, read once per solve (K0 = k0/S, K = s/S and
+    w = W/S), and S*rest = rn/rd, the total times rd*S is
     ((cr*pq + ck*q^2 + cw*p^2)*den + c0*num*pq) / (pq*den) with the integers
-    cr = rn, ck = rd*s*SB, cw = rd*W*D and c0 = rd*k0*SB; trials compare by
+    cr = rn, ck = rd*s, cw = rd*W and c0 = rd*k0; trials compare by
     cross-multiplication. The candidates are visited unsorted: a trial
     replaces the best when its total is strictly lower, or equal with a
     smaller t, so the least (total, t) wins in any order. A move is made
@@ -261,7 +263,6 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
         raise InputError("cannot optimize an empty instance")
     ids = instance.ids()
     scaled = _scaled_costs(instance)
-    d, sb = scaled.d, scaled.sb
     policy = start if start is not None else _default_start(ids, scaled)
     current = total_cost(instance, policy, cap=cap)
     nodes = 1
@@ -270,16 +271,16 @@ def coordinate_descent(instance: Instance, start: Optional[Policy] = None,
         for cid, s, w in zip(ids, scaled.setups, scaled.weights):
             t_now = policy.cycle(cid)
             pn, qn = t_now.numerator, t_now.denominator
-            # D*SB*rest: the standalone total less s*SB/t + W*D*t at t_now
-            rest = current.standalone_total * d * sb \
-                - Fraction(s * sb * qn * qn + w * d * pn * pn, pn * qn)
+            # S*rest: the standalone total less s/t + W*t at t_now
+            rest = current.standalone_total * scaled.scale \
+                - Fraction(s * qn * qn + w * pn * pn, pn * qn)
             rn, rd = rest.numerator, rest.denominator
-            cr, ck, cw, c0 = rn, rd * s * sb, rd * w * d, rd * scaled.k0 * sb
+            cr, ck, cw, c0 = rn, rd * s, rd * w, rd * scaled.k0
             rate = sync._ujr_with([policy.cycle(o) for o in ids if o != cid],
                                   cap)
-            # the best so far: rd*D*SB*total = best_num/best_den at bp/bq
+            # the best so far: rd*S*total = best_num/best_den at bp/bq
             best_t, bp, bq = t_now, pn, qn
-            best_num = current.total.numerator * rd * d * sb
+            best_num = current.total.numerator * rd * scaled.scale
             best_den = current.total.denominator
             start_num, start_den = best_num, best_den
             for t in default_candidates(instance, policy, cid):
@@ -381,12 +382,12 @@ def _cluster_targets(scaled: _ScaledCosts) -> list[tuple[int, int]]:
     that carries the joint setup; the rest keep their standalone optima.
     The cluster grows greedily in ascending t* order (ties in commodity
     order) while the next standalone optimum still undercuts the running
-    shared cycle. With setups s and weights w over D and SB,
-    t*^2 = s*SB / (w*D) and the shared cycle's square is
-    (K0 + sum s)*SB / (sum w * D), so every comparison cross-multiplies.
+    shared cycle. With K0 = k0/S, setups s/S and weights w/S,
+    t*^2 = s/w and the shared cycle's square is (k0 + sum s) / sum w, so
+    every comparison cross-multiplies.
     """
-    k0, setups, weights, d, sb = scaled
-    # t*^2 * lcm(w) * D / SB, an integer that orders the t* exactly
+    k0, setups, weights, _ = scaled
+    # t*^2 * lcm(w), an integer that orders the t* exactly
     w_lcm = math.lcm(*weights)
     order = sorted(range(len(setups)),
                    key=lambda i: setups[i] * (w_lcm // weights[i]))
@@ -398,9 +399,9 @@ def _cluster_targets(scaled: _ScaledCosts) -> list[tuple[int, int]]:
         sum_k += setups[i]
         sum_h += weights[i]
         cluster += 1
-    targets = [(s * sb, w * d) for s, w in zip(setups, weights)]
+    targets = list(zip(setups, weights))
     for i in order[:cluster]:
-        targets[i] = (sum_k * sb, sum_h * d)
+        targets[i] = (sum_k, sum_h)
     return targets
 
 
@@ -411,8 +412,8 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
 
     With a fixed base each commodity's exponent minimizes its standalone
     cost exactly (rounding log2(t*/base), half-points rounding down): it is
-    _exponent_falls' m0 for t*^2 as an integer pair over the pricer's
-    scaled costs, and the policy is priced by total_cost. With
+    _exponent_falls' m0 for t*^2 = s/w, the setup over the holding weight
+    on the pricer's scale, and the policy is priced by total_cost. With
     optimize_base=True every base in the octave [base, 2*base) is covered;
     for each base two exponent patterns are formed — one rounding the
     standalone optima, one rounding the joint-setup relaxation targets,
@@ -437,14 +438,11 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
     t0 = time.perf_counter()
     if not instance.commodities:
         raise InputError("cannot optimize an empty instance")
-    base = Fraction(base)
-    if base <= 0:
-        raise InputError(f"base must be > 0, got {base}")
+    base = _normalize_base(base)
     ids = instance.ids()
     scaled = _scaled_costs(instance)
-    # t*^2 = K/w with w = lambda*h/2, over D and SB
-    standalone_sqs = [(s * scaled.sb, w * scaled.d)
-                      for s, w in zip(scaled.setups, scaled.weights)]
+    # t*^2 = K/w with w = lambda*h/2, both over the scale
+    standalone_sqs = list(zip(scaled.setups, scaled.weights))
 
     if not optimize_base:
         policy = Policy({cid: base * Fraction(2) ** m0 for cid, (m0, _, _)
@@ -458,7 +456,7 @@ def power_of_two(instance: Instance, base: Fraction = Fraction(1),
                              in (standalone_sqs, _cluster_targets(scaled))])
     price = _profile_pricer(scaled, cap)
     seen: set[tuple[int, ...]] = set()
-    # a profile costs 2*sqrt(A*B) with A*B = a*b / (D*SB*H), so it ranks by
+    # a profile costs 2*sqrt(A*B) with A*B = a*b / (S^2*H), so it ranks by
     # a*b/H; the first seen wins ties
     best_ab = best_h = 0
     best_profile: Optional[tuple[int, ...]] = None

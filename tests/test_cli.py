@@ -202,6 +202,104 @@ def test_solve_options_read_by_their_method(capsys, single_files):
             assert rc == 0 and json.loads(out)["policy"]
 
 
+_BAD_SOLVE_VALUES = [
+    (("seed", "--seed-lo", "x", "--seed-hi", "1"),
+     "--seed-lo: not a rational: 'x'"),
+    (("seed", "--seed-lo", "2", "--seed-hi", "1"),
+     "seed interval must satisfy 0 < lo <= hi, got [2, 1]"),
+    (("exhaustive", "--seed-lo", "0", "--seed-hi", "1"),
+     "seed interval must satisfy 0 < lo <= hi, got [0, 1]"),
+    (("seed", "--seed-lo", "1"),
+     "--seed-lo and --seed-hi must be given together"),
+    (("seed", "--seed-hi", "1"),
+     "--seed-lo and --seed-hi must be given together"),
+    (("pot", "--base", "0"), "base must be > 0, got 0"),
+    (("pot", "--base=-1/2"), "base must be > 0, got -1/2"),
+    (("pot", "--base", "y"), "--base: not a rational: 'y'"),
+    (("exhaustive", "--k-hi", "0"), "--k-hi must be >= 1, got 0"),
+    (("exhaustive", "--k-lo", "0"), "--k-lo must be >= 1, got 0"),
+    (("exhaustive", "--k-lo", "9"), "--k-lo 9 exceeds --k-hi 8"),
+    (("exhaustive", "--k-lo", "3", "--k-hi", "2"), "--k-lo 3 exceeds --k-hi 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_SOLVE_VALUES,
+                         ids=[" ".join(argv) for argv, _ in _BAD_SOLVE_VALUES])
+def test_solve_refuses_bad_values_before_reading_the_instance(capsys, tmp_path,
+                                                              argv, message):
+    # the instance path does not exist: a value checked after the instance
+    # is read would report the missing file instead
+    missing = str(tmp_path / "missing.json")
+    rc, out, err = run(capsys, "solve", missing, "--method", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: " + message), err
+
+
+@pytest.mark.parametrize("k_hi", ["0", "-3"])
+def test_check_pot_ratio_refuses_k_hi_below_one(capsys, monkeypatch, k_hi):
+    def never(*args, **kwargs):
+        raise AssertionError("solver ran before the options were checked")
+
+    monkeypatch.setattr(cli, "exhaustive_search", never)
+    rc, out, err = run(capsys, "check", "--suite", "pot-ratio",
+                       "--k-hi", k_hi)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --k-hi must be >= 1, got {k_hi}\n"
+
+
+# each check option with a value, and the suites that read it; the file
+# named by --cnf does not exist, so reading it would report that instead
+_CHECK_READS = {
+    ("--n", "1"): {"lemmas"},
+    ("--r-max", "200"): {"lemmas"},
+    ("--trials", "5"): {"pot-ratio"},
+    ("--k-hi", "8"): {"pot-ratio"},
+    ("--rng-seed", "0"): {"pot-ratio"},
+    ("--cnf", "missing.cnf"): {"roundtrip"},
+}
+_CHECK_UNREAD = [(option, suite) for option, reads in _CHECK_READS.items()
+                 for suite in ("lemmas", "roundtrip", "pot-ratio")
+                 if suite not in reads]
+
+
+@pytest.mark.parametrize("option, suite", _CHECK_UNREAD, ids=[
+    f"{suite}{option[0]}" for option, suite in _CHECK_UNREAD])
+def test_check_refuses_options_its_suite_never_reads(capsys, monkeypatch,
+                                                     option, suite):
+    # refused before any work, even at the option's default value
+    def never(*args, **kwargs):
+        raise AssertionError("called before the options were checked")
+
+    for name in ("_suite_lemmas", "_suite_roundtrip", "_suite_pot_ratio"):
+        monkeypatch.setattr(cli, name, never)
+    rc, out, err = run(capsys, "check", "--suite", suite, *option)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --suite {suite} does not read {option[0]}\n"
+
+
+@pytest.mark.parametrize("flags", [("--solve",), ("--check-3sat",),
+                                   ("--solve", "--check-3sat")])
+def test_sat_echo_refuses_options_it_never_reads(capsys, tmp_path, flags):
+    # the file does not exist, so reading it first would report that
+    missing = str(tmp_path / "missing.cnf")
+    rc, out, err = run(capsys, "sat", missing, "--echo", *flags)
+    assert (rc, out) == (2, "")
+    assert err == "error: --echo does not read --solve or --check-3sat\n"
+
+
+def test_check_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for text in ("(--suite lemmas, default 2)",
+                 "(--suite lemmas, default 200)",
+                 "random instances (--suite pot-ratio, default 100)",
+                 "(--suite pot-ratio, default 8)",
+                 "(--suite pot-ratio, default 0)",
+                 "DIMACS file, repeatable (--suite roundtrip)"):
+        assert text in out
+
+
 def test_solve_help_shows_the_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["solve", "--help"])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrp_forge.cost import (
+    _scaled_costs,
     decompose,
     jr_bounds,
     marginal_jr,
@@ -181,3 +183,25 @@ def test_seed_cost_identity(multipliers, beta):
     a, b = seed_cost(inst, SeedProfile(profile))
     pol = expand_profile(SeedProfile(profile, beta))
     assert total_cost(inst, pol).total == a / beta + b * beta
+
+
+_POSITIVE = st.fractions(min_value=F(1, 64), max_value=F(500), max_denominator=96)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_POSITIVE, st.lists(st.tuples(_POSITIVE, _POSITIVE, _POSITIVE),
+                           min_size=1, max_size=6))
+def test_scaled_costs_share_one_scale(k0, costs):
+    # every cost over the one scale S, which is the lcm of the
+    # denominators of K0, of the setups and of the weights lambda*h/2
+    inst = Instance(tuple(Commodity(f"c{i}", lam, h, k)
+                          for i, (lam, h, k) in enumerate(costs)), k0)
+    scaled = _scaled_costs(inst)
+    s = scaled.scale
+    weights = [lam * h / 2 for lam, h, _ in costs]
+    assert F(scaled.k0, s) == k0
+    assert [F(x, s) for x in scaled.setups] == [k for _, _, k in costs]
+    assert [F(x, s) for x in scaled.weights] == weights
+    assert s == math.lcm(k0.denominator,
+                         *(k.denominator for _, _, k in costs),
+                         *(w.denominator for w in weights))

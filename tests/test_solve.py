@@ -86,7 +86,7 @@ def test_optimize_seed_clamped():
 
 
 def _seed_instance(rng: random.Random, n: int) -> Instance:
-    # rational K0, setups and holding costs, so D and SB exceed 1
+    # rational K0, setups and holding costs, so the cost scale exceeds 1
     return Instance(tuple(
         Commodity(f"c{j}", F(rng.randint(1, 8), rng.randint(1, 3)),
                   F(rng.randint(1, 30), rng.randint(1, 8)),
@@ -707,7 +707,7 @@ def test_power_of_two_matches_fraction_reference():
         n = rng.randint(1, 8)
         if i % 2:
             inst = _random_instance(rng, n)
-        else:   # rational K0, setups and holding costs: D, SB > 1
+        else:   # rational K0, setups and holding costs: scale > 1
             # every tenth repeats ids c0, c1, c0, ...
             ids = [f"c{j % 2}" if i % 10 == 0 else f"c{j}" for j in range(n)]
             commodities = tuple(
@@ -902,12 +902,12 @@ def test_cluster_targets_match_the_fraction_oracle():
     # shared square (1 + 2 + 1) / (2 + 1) = 4/3; c1 sits exactly there,
     # t*^2 = 8/6, and stays out with its own pair
     inst = _weighted(1, [(2, 2), (8, 6), (1, 1)])
-    targets = _cluster_targets(_scaled_costs(inst))     # D = SB = 1
+    targets = _cluster_targets(_scaled_costs(inst))     # scale 1
     assert targets == [(4, 3), (8, 6), (4, 3)]
     want = cluster_target_squares(inst)
     assert [F(p, q) for p, q in targets] == [want[cid] for cid in inst.ids()]
-    # c0 and c1 tie at t*^2 = 1 and both join, over D = 2:
-    # (1 + 6 + 2) / ((3 + 1) * 2) = 9/8; c2 keeps t*^2 = 18/4
+    # c0 and c1 tie at t*^2 = 1 and both join, over the scale 2:
+    # (1 + 6 + 2) / (6 + 2) = 9/8; c2 keeps t*^2 = 18/4
     inst = _weighted(F(1, 2), [(3, 3), (1, 1), (9, 2)])
     assert _cluster_targets(_scaled_costs(inst)) == [(9, 8), (9, 8), (18, 4)]
     # t*^2 drawn from a few values, so ties and boundary hits are common
@@ -925,8 +925,7 @@ def test_cluster_targets_match_the_fraction_oracle():
         want = cluster_target_squares(inst)
         assert [F(p, q) for p, q in targets] == [want[cid] for cid in inst.ids()]
         shared = max(targets)   # the cluster's pair has the largest terms
-        own = [(k * scaled.sb, w * scaled.d)
-               for k, w in zip(scaled.setups, scaled.weights)]
+        own = list(zip(scaled.setups, scaled.weights))
         at_boundary += any(t == o != shared and F(*o) == F(*shared)
                            for t, o in zip(targets, own))
     assert at_boundary > 10
