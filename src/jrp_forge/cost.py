@@ -15,7 +15,7 @@ scaled to integers once by _scaled_costs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -71,51 +71,26 @@ def decompose(instance: Instance, policy: Policy,
               cap: int | None = None) -> CostBreakdown:
     """Class decomposition: each class pays its marginal joint contribution.
 
-    Constants absorb the union rate of their own series; variables pay the
-    growth of the union when their series join the constants'; clauses pay
-    the remaining growth. Requires every commodity to carry a class tag.
+    With TC the total cost of the sub-instance on the listed classes, the
+    constants pay TC(C), the variables the growth TC(C+V) - TC(C) and the
+    clauses the rest, TC(C+V+Z) - TC(C+V); joint terms grow with the union
+    of the series. Requires every commodity to carry a class tag.
     """
     _require_coverage(instance, policy)
-    groups: dict[CommodityKind, list[Commodity]] = {
-        CommodityKind.CONSTANT: [], CommodityKind.VARIABLE: [], CommodityKind.CLAUSE: []}
     for c in instance.commodities:
-        if c.kind not in groups:
+        if c.kind is CommodityKind.GENERIC:
             raise InputError(
                 f"decompose requires classed commodities; {c.id!r} is {c.kind.value}")
-        groups[c.kind].append(c)
-
-    def class_periods(kinds) -> list[Fraction]:
-        return [policy.cycle(c.id) for k in kinds for c in groups[k]]
-
-    def union(kinds) -> Fraction:
-        periods = class_periods(kinds)
-        return sync.ujr(periods, cap=cap) if periods else Fraction(0)
-
-    def standalone(kind) -> Fraction:
-        return sum((standalone_cost(c, policy.cycle(c.id)) for c in groups[kind]),
-                   Fraction(0))
-
-    k0 = instance.joint_setup
-    u_c = union([CommodityKind.CONSTANT])
-    u_cv = union([CommodityKind.CONSTANT, CommodityKind.VARIABLE])
-    u_all = union([CommodityKind.CONSTANT, CommodityKind.VARIABLE, CommodityKind.CLAUSE])
-
-    s_const = standalone(CommodityKind.CONSTANT)
-    s_var = standalone(CommodityKind.VARIABLE)
-    s_clause = standalone(CommodityKind.CLAUSE)
-    tc_const = s_const + k0 * u_c
-    tc_var = s_var + k0 * (u_cv - u_c)
-    tc_clause = s_clause + k0 * (u_all - u_cv)
-    standalone_total = s_const + s_var + s_clause
-    return CostBreakdown(
-        standalone_total=standalone_total,
-        joint_frequency=u_all,
-        joint_cost=k0 * u_all,
-        total=standalone_total + k0 * u_all,
-        tc_constants=tc_const,
-        tc_variables=tc_var,
-        tc_clauses=tc_clause,
-    )
+    prefix: list[Commodity] = []
+    totals = []
+    for kind in (CommodityKind.CONSTANT, CommodityKind.VARIABLE, CommodityKind.CLAUSE):
+        prefix += [c for c in instance.commodities if c.kind is kind]
+        sub_policy = Policy({c.id: policy.cycle(c.id) for c in prefix})
+        totals.append(total_cost(Instance(tuple(prefix), instance.joint_setup),
+                                 sub_policy, cap=cap))
+    tc_c, tc_cv, tc_all = (t.total for t in totals)
+    return replace(totals[-1], tc_constants=tc_c, tc_variables=tc_cv - tc_c,
+                   tc_clauses=tc_all - tc_cv)
 
 
 def marginal_jr(instance: Instance, policy: Policy, commodity_id: str,

@@ -16,6 +16,10 @@ Constants and Clauses use the anchored construction h = 1/((d^2+2d)t*^2),
 K = 1/(d^2+2d) with d the drift tolerance, which makes the bracketing pair
 of optima exactly (t*, (1+d)t*). Joint setup is 1 and every demand is 2, so
 t*^2 = K/h throughout.
+
+reduce_formula and reduction_from_json build through one private builder,
+_assemble; the loader refuses a document whose commodities or joint setup
+differ from the rebuild of its meta.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 from typing import Mapping, Optional, Sequence
 
 from .cost import _profile_pricer, _scaled_costs, decompose, total_cost
@@ -160,9 +163,12 @@ def compute_delta(n: int, pairs: Sequence[PrimePair]) -> Fraction:
 # ---------------------------------------------------------------------------
 # commodity builders
 
-def _anchor_costs(t_star: int, delta: Fraction) -> tuple[Fraction, Fraction]:
+def _anchored_commodity(t_star: int, delta: Fraction, cid: str,
+                        kind: CommodityKind) -> Commodity:
     denom = delta * delta + 2 * delta
-    return Fraction(1) / (denom * t_star * t_star), Fraction(1) / denom
+    return Commodity(id=cid, demand=Fraction(2),
+                     holding=Fraction(1) / (denom * t_star * t_star),
+                     setup=Fraction(1) / denom, kind=kind)
 
 
 def build_constant_commodity(t_star: int, delta: Fraction,
@@ -172,9 +178,8 @@ def build_constant_commodity(t_star: int, delta: Fraction,
         raise InputError(f"anchor target must be >= 1, got {t_star}")
     if delta <= 0:
         raise InputError(f"drift tolerance must be > 0, got {delta}")
-    h, k = _anchor_costs(t_star, delta)
-    return Commodity(id=cid or f"y@{t_star}", demand=Fraction(2), holding=h,
-                     setup=k, kind=CommodityKind.CONSTANT)
+    return _anchored_commodity(t_star, delta, cid or f"y@{t_star}",
+                               CommodityKind.CONSTANT)
 
 
 def clause_target(clause: Sequence[int], pairs: Sequence[PrimePair]) -> int:
@@ -195,9 +200,8 @@ def build_clause_commodity(clause: Sequence[int], pairs: Sequence[PrimePair],
                            delta: Fraction,
                            cid: Optional[str] = None) -> Commodity:
     target = clause_target(clause, pairs)
-    h, k = _anchor_costs(target, delta)
-    return Commodity(id=cid or f"z@{target}", demand=Fraction(2), holding=h,
-                     setup=k, kind=CommodityKind.CLAUSE)
+    return _anchored_commodity(target, delta, cid or f"z@{target}",
+                               CommodityKind.CLAUSE)
 
 
 def build_variable_commodity(pair: PrimePair, constants: ReductionConstants,
@@ -254,14 +258,16 @@ def reduce_formula(formula: CnfFormula,
     if n < 1:
         raise InputError("formula must have at least one variable")
     alpha = (constants or ReductionConstants()).resolved(n)
-    for name in ("alpha_c", "alpha_v", "alpha_n"):
+    pairs = select_prime_pairs(n)
+    return _assemble(formula.clauses, pairs, compute_delta(n, pairs), alpha)
+
+
+def _assemble(clauses: Sequence[Sequence[int]], pairs: tuple[PrimePair, ...],
+              delta: Fraction, alpha: ReductionConstants) -> ReductionOutput:
+    """The construction fixed by the clauses, pairs, delta and resolved alpha."""
+    for name in ("alpha_c", "alpha_v", "alpha_n", "alpha_v_bar"):
         if getattr(alpha, name) <= 0:
             raise ConfigRejected(f"{name} must be > 0, got {getattr(alpha, name)}")
-    if alpha.alpha_v_bar <= 0:
-        raise ConfigRejected(f"alpha_v_bar must be > 0, got {alpha.alpha_v_bar}")
-
-    pairs = select_prime_pairs(n)
-    delta = compute_delta(n, pairs)
     commodities: list[Commodity] = []
     anchor_targets: dict[str, int] = {}
 
@@ -276,13 +282,11 @@ def reduce_formula(formula: CnfFormula,
         commodities.append(build_variable_commodity(pair, alpha))
 
     clause_targets: dict[int, int] = {}
-    p_max = pairs[-1].high
-    for j, clause in enumerate(formula.clauses, start=1):
+    for j, clause in enumerate(clauses, start=1):
         cid = f"z{j}"
         target = clause_target(clause, pairs)
-        if target >= p_max ** 3:
-            raise JrpError(f"clause {j}: target {target} >= {p_max}^3")
-        commodities.append(build_clause_commodity(clause, pairs, delta, cid=cid))
+        commodities.append(
+            _anchored_commodity(target, delta, cid, CommodityKind.CLAUSE))
         clause_targets[j] = target
         anchor_targets[cid] = target
 
@@ -349,6 +353,14 @@ def _meta_int(value, where: str) -> int:
 
 
 def reduction_from_json(data: bytes | str) -> ReductionOutput:
+    """Load a reduction document, rebuilding its instance from meta.
+
+    Each clause target is read back as its three literals and the instance
+    rebuilt through reduce_formula's builder; the document is refused unless
+    its commodities (by id) and k0 equal the rebuilt ones. A wide pair with
+    an even gap loads when the commodities match it. The output keeps the
+    loaded instance, with the document's commodity order and meta.
+    """
     instance = load_instance(data)
     meta = instance.meta
     if not isinstance(meta, dict):
@@ -361,8 +373,8 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
             f"meta.constants_scheme must be {CONSTANTS_SCHEME!r}, got {scheme!r}")
     raw_alpha = _meta_get(meta, "alpha", "meta")
     raw_targets = _meta_get(meta, "clause_targets", "meta")
-    if not isinstance(raw_pairs, list):
-        raise InputError("meta.pairs must be a list")
+    if not isinstance(raw_pairs, list) or not raw_pairs:
+        raise InputError("meta.pairs must be a non-empty list")
     pairs = []
     for i, row in enumerate(raw_pairs, start=1):
         where = f"meta.pairs[{i - 1}]"
@@ -379,6 +391,13 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
                 raise InputError(f"{where}: {p} is not below 2**64")
             if not is_prime(p):
                 raise InputError(f"{where}: {p} is not prime")
+            if p == _ANCHOR_PRIME:
+                raise InputError(f"{where}: {p} is the anchor prime")
+        # compute_delta and the clause decoding read the pairs as ascending
+        # and disjoint
+        if pairs and low <= pairs[-1].high:
+            raise InputError(
+                f"{where}: {low} must exceed the previous pair's {pairs[-1].high}")
         pairs.append(pair)
     pairs = tuple(pairs)
     alpha = ReductionConstants(**{
@@ -387,37 +406,40 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
         for name in ("alpha_c", "alpha_v_bar", "alpha_v", "alpha_n")})
     if not isinstance(raw_targets, dict):
         raise InputError("meta.clause_targets must be an object")
-    clause_targets = {
+    m = len(raw_targets)
+    targets = {
         _meta_int(j, "meta.clause_targets"): _meta_int(t, f"meta.clause_targets[{j!r}]")
         for j, t in raw_targets.items()}
-    anchor_targets: dict[str, int] = {}
-    clause_anchors: dict[str, int] = {}
-    for c in instance.commodities:
-        if c.kind in (CommodityKind.CONSTANT, CommodityKind.CLAUSE):
-            t2 = c.setup / c.holding
-            root = isqrt(t2.numerator // t2.denominator)
-            if root * root * t2.denominator != t2.numerator:
-                raise InputError(f"commodity {c.id!r}: anchor target not integral")
-            anchor_targets[c.id] = root
-            if c.kind is CommodityKind.CLAUSE:
-                clause_anchors[c.id] = root
-    # clause j is the commodity reduce_formula names z{j}, wherever the
-    # document lists it, and its target is that commodity's anchor target
-    m = len(clause_anchors)
-    if len(raw_targets) != m or set(clause_targets) != set(range(1, m + 1)) \
-            or {f"z{j}": t for j, t in clause_targets.items()} != clause_anchors:
+    if len(targets) != m or set(targets) != set(range(1, m + 1)):
         raise InputError(
-            f"meta.clause_targets must map 1..{m} to the anchor targets of "
-            f"the clause commodities z1..z{m}")
-    return ReductionOutput(
-        instance=instance,
-        pairs=pairs,
-        delta=delta,
-        literal_map={p.index: (p.low, p.high) for p in pairs},
-        clause_targets=clause_targets,
-        alpha=alpha,
-        anchor_targets=anchor_targets,
-    )
+            f"meta.clause_targets must map 1..{m}, got keys {sorted(raw_targets)}")
+    clauses = []
+    for j in range(1, m + 1):
+        # the literals whose prime divides the target
+        clause = tuple(sign * p.index for p in pairs
+                       for sign, q in ((-1, p.low), (1, p.high))
+                       if targets[j] % q == 0)
+        if len(clause) != 3 or len({abs(lit) for lit in clause}) != 3 \
+                or clause_target(clause, pairs) != targets[j]:
+            raise InputError(
+                f"meta.clause_targets must map 1..{m} to products of three "
+                f"literal primes of distinct pairs, got {targets[j]} for {j}")
+        clauses.append(clause)
+    try:
+        rebuilt = _assemble(clauses, pairs, delta, alpha)
+    except ConfigRejected as exc:
+        raise InputError(str(exc)) from None
+    loaded = {c.id: c for c in instance.commodities}
+    built = {c.id: c for c in rebuilt.instance.commodities}
+    for cid in dict.fromkeys([*built, *loaded]):
+        if loaded.get(cid) != built.get(cid):
+            raise InputError(
+                f"commodity {cid!r} differs from the construction meta describes")
+    if instance.joint_setup != rebuilt.instance.joint_setup:
+        raise InputError(
+            f"k0 {instance.joint_setup} differs from the construction's "
+            f"{rebuilt.instance.joint_setup}")
+    return replace(rebuilt, instance=instance)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,8 @@ _DROP = object()
     (("pairs", 1, 1), "two", r"meta\.pairs\[1\]"),
     (("pairs", 2, 0), 29.5, r"meta\.pairs\[2\]"),
     (("alpha", "alpha_v"), _DROP, "'alpha_v'"),
+    (("alpha", "alpha_n"), "-1", "alpha_n must be > 0"),
+    (("pairs",), [], r"meta\.pairs must be a non-empty list"),
     (("clause_targets",), [1001, 2431], r"meta\.clause_targets"),
     (("clause_targets",), {"1": 7, "2": 11}, r"meta\.clause_targets must map 1\.\.\d"),
     (("clause_targets", "1"), _DROP, r"meta\.clause_targets must map"),
@@ -304,8 +306,8 @@ _DROP = object()
     (("constants_scheme",), None, r"meta\.constants_scheme"),
     (("constants_scheme",), "no-such", r"meta\.constants_scheme"),
 ], ids=["short-pair-row", "non-integer-pair-entry", "float-pair-entry",
-        "missing-alpha-v", "clause-targets-list", "clause-targets-foreign",
-        "clause-targets-missing-one",
+        "missing-alpha-v", "negative-alpha-n", "no-pairs", "clause-targets-list",
+        "clause-targets-foreign", "clause-targets-missing-one",
         "scheme-list", "scheme-int",
         "scheme-null", "scheme-unknown"])
 def test_reduction_json_malformed_meta_is_input_error(path, value, needle):
@@ -324,16 +326,49 @@ def test_reduction_json_malformed_meta_is_input_error(path, value, needle):
 
 def test_reduction_json_clause_targets_follow_the_clause_commodities():
     # value j must be the anchor target of clause commodity z{j}: a swapped
-    # pair or a second spelling of key 1 is refused
+    # pair rebuilds a different z1, and a second spelling of key 1 makes the
+    # keys 1..4 with 4 missing
     doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
     targets = doc["meta"]["clause_targets"]
     assert reduction_from_json(json.dumps(doc)).clause_targets \
         == {int(j): t for j, t in targets.items()}
-    for bad in ({**targets, "1": targets["2"], "2": targets["1"]},
-                {**targets, "01": targets["1"]}):
+    for bad, needle in (
+            ({**targets, "1": targets["2"], "2": targets["1"]}, r"commodity 'z1'"),
+            ({**targets, "01": targets["1"]}, r"meta\.clause_targets must map 1\.\.4,")):
         doc["meta"]["clause_targets"] = bad
-        with pytest.raises(InputError, match=r"meta\.clause_targets must map 1\.\.3 "):
+        with pytest.raises(InputError, match=needle):
             reduction_from_json(json.dumps(doc))
+
+
+def _set_demands(doc, demand):
+    for c in doc["commodities"]:
+        c["lambda"] = demand
+
+
+def _drop_x1(doc):
+    doc["commodities"] = [c for c in doc["commodities"] if c["id"] != "x1"]
+
+
+def _tag_x1_generic(doc):
+    next(c for c in doc["commodities"] if c["id"] == "x1")["class"] = "generic"
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda doc: _set_demands(doc, "4"), r"commodity 'y1'"),
+    (_drop_x1, r"commodity 'x1'"),
+    (_tag_x1_generic, r"commodity 'x1'"),
+    (lambda doc: doc["meta"]["pairs"].pop(), r"meta\.clause_targets must map 1\.\.3 to products"),
+    (lambda doc: doc["meta"]["pairs"].__setitem__(0, [13, 4, 17]),
+     r"meta\.pairs\[1\]: 17 must exceed the previous pair's 17"),
+    (lambda doc: doc.update(k0="2"), r"k0 2 differs"),
+    (lambda doc: doc["meta"]["clause_targets"].update({"1": 1001}), r"got 1001 for 1"),
+], ids=["demands-4", "x1-dropped", "x1-generic", "two-pairs", "overlapping-pairs",
+        "k0-2", "target-not-literal-primes"])
+def test_reduction_json_refuses_documents_the_construction_does_not_make(edit, needle):
+    doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
+    edit(doc)
+    with pytest.raises(InputError, match=needle):
+        reduction_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("row, needle", [
@@ -344,8 +379,12 @@ def test_reduction_json_clause_targets_follow_the_clause_commodities():
     ([11, 0, 11], "gap 0"),
     ([2, 1, 3], "gap 1"),
     ([2**64 + 13, 2, 2**64 + 15], "not below 2\\*\\*64"),
+    ([13, 4, 17], "13 must exceed the previous pair's 13"),
+    ([3, 2, 5], "3 must exceed the previous pair's 13"),
+    ([5, 2, 7], "7 is the anchor prime"),
 ], ids=["composite-low-negative-gap", "composite-low", "composite-high",
-        "negative-gap", "zero-gap", "odd-gap", "past-the-bound"])
+        "negative-gap", "zero-gap", "odd-gap", "past-the-bound",
+        "overlapping", "descending", "anchor-prime"])
 def test_reduction_json_pair_rows_must_be_prime_pairs(row, needle):
     doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
     doc["meta"]["pairs"][1] = row
@@ -354,9 +393,13 @@ def test_reduction_json_pair_rows_must_be_prime_pairs(row, needle):
 
 
 def test_reduction_json_accepts_a_wider_prime_pair():
-    doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
-    doc["meta"]["pairs"][0] = [13, 4, 17]
-    assert reduction_from_json(json.dumps(doc)).literal_map[1] == (13, 17)
+    # a document the shared builder makes over a pair with gap 4 loads
+    pairs = (PrimePair(1, 11, 2), PrimePair(2, 17, 2), PrimePair(3, 37, 4))
+    out = reduction._assemble(CORPUS["mixed3"], pairs, compute_delta(3, pairs),
+                              ReductionConstants().resolved(3))
+    back = reduction_from_json(reduction_to_json(out))
+    assert back == out
+    assert back.literal_map[3] == (37, 41)
 
 
 # ---------------------------------------------------------------------------
