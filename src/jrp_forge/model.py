@@ -108,7 +108,10 @@ def validate_policy(instance: Instance, policy: Policy) -> ValidationReport:
     for cid, t in policy.cycles.items():
         if cid not in ids:
             findings.append(f"policy names unknown commodity {cid!r}")
-        if t <= 0:
+        if not isinstance(t, (Fraction, int)) or isinstance(t, bool):
+            findings.append(f"cycle for {cid!r} must be an int or Fraction, "
+                            f"got {type(t).__name__}")
+        elif t <= 0:
             findings.append(f"cycle for {cid!r} must be > 0, got {t}")
     return ValidationReport(tuple(findings))
 

@@ -17,9 +17,9 @@ K = 1/(d^2+2d) with d the drift tolerance, which makes the bracketing pair
 of optima exactly (t*, (1+d)t*). Joint setup is 1 and every demand is 2, so
 t*^2 = K/h throughout.
 
-reduce_formula and reduction_from_json build through one private builder,
-_assemble; the loader refuses a document whose commodities or joint setup
-differ from the rebuild of its meta.
+reduction_from_json is reduce_formula's inverse: it reads the formula and
+the alpha constants back from a document, rebuilds it through reduce_formula
+and refuses a document that differs from the rebuild.
 """
 from __future__ import annotations
 
@@ -259,12 +259,7 @@ def reduce_formula(formula: CnfFormula,
         raise InputError("formula must have at least one variable")
     alpha = (constants or ReductionConstants()).resolved(n)
     pairs = select_prime_pairs(n)
-    return _assemble(formula.clauses, pairs, compute_delta(n, pairs), alpha)
-
-
-def _assemble(clauses: Sequence[Sequence[int]], pairs: tuple[PrimePair, ...],
-              delta: Fraction, alpha: ReductionConstants) -> ReductionOutput:
-    """The construction fixed by the clauses, pairs, delta and resolved alpha."""
+    delta = compute_delta(n, pairs)
     for name in ("alpha_c", "alpha_v", "alpha_n", "alpha_v_bar"):
         if getattr(alpha, name) <= 0:
             raise ConfigRejected(f"{name} must be > 0, got {getattr(alpha, name)}")
@@ -282,7 +277,7 @@ def _assemble(clauses: Sequence[Sequence[int]], pairs: tuple[PrimePair, ...],
         commodities.append(build_variable_commodity(pair, alpha))
 
     clause_targets: dict[int, int] = {}
-    for j, clause in enumerate(clauses, start=1):
+    for j, clause in enumerate(formula.clauses, start=1):
         cid = f"z{j}"
         target = clause_target(clause, pairs)
         commodities.append(
@@ -334,12 +329,6 @@ def _meta_get(obj, key: str, where: str):
     return obj[key]
 
 
-# Pair rows of a reduction JSON must hold primes below this bound: there
-# is_prime is exact and takes microseconds, while a prime of a few thousand
-# digits takes it seconds.
-_MAX_PAIR_PRIME = 2 ** 64
-
-
 def _meta_int(value, where: str) -> int:
     """An integer, or the decimal text of one (object keys are text)."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -352,54 +341,36 @@ def _meta_int(value, where: str) -> int:
     raise InputError(f"{where}: expected an integer, got {value!r}")
 
 
-def reduction_from_json(data: bytes | str) -> ReductionOutput:
-    """Load a reduction document, rebuilding its instance from meta.
+def _same_json(a, b) -> bool:
+    """Equal as JSON values: 1.0 is not 1 and true is not 1. Stops at the
+    first difference in type, so it never descends deeper than b."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
 
-    Each clause target is read back as its three literals and the instance
-    rebuilt through reduce_formula's builder; the document is refused unless
-    its commodities (by id) and k0 equal the rebuilt ones. A wide pair with
-    an even gap loads when the commodities match it. The output keeps the
-    loaded instance, with the document's commodity order and meta.
+
+def reduction_from_json(data: bytes | str) -> ReductionOutput:
+    """Load a reduction document: the inverse of reduce_formula.
+
+    meta gives only what the construction cannot derive, the four alpha
+    values and the clause targets. n is the number of variable commodities,
+    and each target is read back as the three literals whose primes over
+    select_prime_pairs(n) divide it. The formula is rebuilt through
+    reduce_formula, and the document is refused, naming the first
+    difference, unless its commodities (by id), its k0 and its whole meta
+    (key by key, as JSON values) equal the rebuild's. The output keeps the
+    loaded instance, in the document's commodity order.
     """
     instance = load_instance(data)
     meta = instance.meta
     if not isinstance(meta, dict):
         raise InputError("reduction JSON missing 'meta' object")
-    delta = parse_rational(_meta_get(meta, "delta", "meta"), where="meta.delta")
-    raw_pairs = _meta_get(meta, "pairs", "meta")
-    scheme = _meta_get(meta, "constants_scheme", "meta")
-    if scheme != CONSTANTS_SCHEME:
-        raise InputError(
-            f"meta.constants_scheme must be {CONSTANTS_SCHEME!r}, got {scheme!r}")
     raw_alpha = _meta_get(meta, "alpha", "meta")
     raw_targets = _meta_get(meta, "clause_targets", "meta")
-    if not isinstance(raw_pairs, list) or not raw_pairs:
-        raise InputError("meta.pairs must be a non-empty list")
-    pairs = []
-    for i, row in enumerate(raw_pairs, start=1):
-        where = f"meta.pairs[{i - 1}]"
-        if not isinstance(row, list) or len(row) != 3:
-            raise InputError(f"{where}: expected [low, gap, high], got {row!r}")
-        low, gap, high = (_meta_int(v, where) for v in row)
-        pair = PrimePair(index=i, low=low, gap=gap)
-        if pair.high != high:
-            raise InputError(f"{where}: {high} != {low} + {gap}")
-        if gap <= 0 or gap % 2:
-            raise InputError(f"{where}: gap {gap} must be positive and even")
-        for p in (low, high):
-            if p >= _MAX_PAIR_PRIME:
-                raise InputError(f"{where}: {p} is not below 2**64")
-            if not is_prime(p):
-                raise InputError(f"{where}: {p} is not prime")
-            if p == _ANCHOR_PRIME:
-                raise InputError(f"{where}: {p} is the anchor prime")
-        # compute_delta and the clause decoding read the pairs as ascending
-        # and disjoint
-        if pairs and low <= pairs[-1].high:
-            raise InputError(
-                f"{where}: {low} must exceed the previous pair's {pairs[-1].high}")
-        pairs.append(pair)
-    pairs = tuple(pairs)
     alpha = ReductionConstants(**{
         name: parse_rational(_meta_get(raw_alpha, name, "meta.alpha"),
                              where=f"meta.alpha.{name}")
@@ -413,6 +384,8 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
     if len(targets) != m or set(targets) != set(range(1, m + 1)):
         raise InputError(
             f"meta.clause_targets must map 1..{m}, got keys {sorted(raw_targets)}")
+    n = sum(c.kind is CommodityKind.VARIABLE for c in instance.commodities)
+    pairs = select_prime_pairs(n)
     clauses = []
     for j in range(1, m + 1):
         # the literals whose prime divides the target
@@ -426,19 +399,23 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
                 f"literal primes of distinct pairs, got {targets[j]} for {j}")
         clauses.append(clause)
     try:
-        rebuilt = _assemble(clauses, pairs, delta, alpha)
+        rebuilt = reduce_formula(CnfFormula(n, tuple(clauses)), alpha)
     except ConfigRejected as exc:
         raise InputError(str(exc)) from None
     loaded = {c.id: c for c in instance.commodities}
     built = {c.id: c for c in rebuilt.instance.commodities}
     for cid in dict.fromkeys([*built, *loaded]):
         if loaded.get(cid) != built.get(cid):
-            raise InputError(
-                f"commodity {cid!r} differs from the construction meta describes")
+            raise InputError(f"commodity {cid!r} differs from the construction's")
     if instance.joint_setup != rebuilt.instance.joint_setup:
         raise InputError(
             f"k0 {instance.joint_setup} differs from the construction's "
             f"{rebuilt.instance.joint_setup}")
+    built_meta = rebuilt.instance.meta
+    for key in dict.fromkeys([*built_meta, *meta]):
+        if not (key in meta and key in built_meta
+                and _same_json(meta[key], built_meta[key])):
+            raise InputError(f"meta.{key} differs from the construction's")
     return replace(rebuilt, instance=instance)
 
 

@@ -9,11 +9,11 @@ every given family has some series ordering. Both are exact rationals.
 Each union is counted over one hyperperiod by `_kernels.union_count`: by
 inclusion-exclusion for a few series, and above that by an exact split on a
 pairwise-coprime base of the periods with inclusion-exclusion only at small
-leaves. `_int_ujr` is the integer core of every union rate: callers whose
-periods are already integers call it directly and get the count and the
-hyperperiod, with no Fraction. Chief among them is cost's _profile_pricer,
-the one integer pricer of seed_cost, the exhaustive and power-of-two scans
-and the roundtrip's assignment policies.
+leaves. `_int_union` counts every union rate, and `_int_ujr` prunes for it:
+callers whose periods are already integers call `_int_ujr` directly and get
+the count and the hyperperiod, with no Fraction. Chief among them is cost's
+_profile_pricer, the one integer pricer of seed_cost, the exhaustive and
+power-of-two scans and the roundtrip's assignment policies.
 `_kernels._absorb` first drops duplicates and periods another divides. The
 cap bounds the series the kernel counts: at most `cap` (default 20) per
 rate, counted after that prune, for ujr and ijr alike. `_int_union` is the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jrp_forge.cost import total_cost
 from jrp_forge.model import (
     Commodity,
     CommodityKind,
@@ -23,6 +24,7 @@ from jrp_forge.model import (
     save_policy,
     validate_policy,
 )
+from jrp_forge.solve import coordinate_descent
 
 from .oracles import reference_rational_to_decimal
 
@@ -196,6 +198,22 @@ def test_validate_policy_both_directions():
     text = "; ".join(report.findings)
     assert "missing cycle" in text and "unknown commodity" in text
     assert validate_policy(inst, Policy({"a": F(5), "b": F(3)})).ok
+
+
+@pytest.mark.parametrize("cycle, type_name", [
+    (0.5, "float"), (True, "bool"), ("5", "str"), (None, "NoneType")])
+def test_validate_policy_refuses_cycles_that_are_not_rationals(cycle, type_name):
+    # a float cycle used to be priced in floats (total_cost 52.5 here), True
+    # as cycle 1, and "5" raised an untyped TypeError
+    inst = Instance((Commodity("a", F(2), F(1), F(25)),), F(1))
+    message = f"cycle for 'a' must be an int or Fraction, got {type_name}"
+    assert validate_policy(inst, Policy({"a": cycle})).findings == (message,)
+    with pytest.raises(InputError, match=message):
+        total_cost(inst, Policy({"a": cycle}))
+    with pytest.raises(InputError, match=message):
+        coordinate_descent(inst, start=Policy({"a": cycle}))
+    for ok in (5, F(5, 2)):
+        assert validate_policy(inst, Policy({"a": ok})).ok
 
 
 def test_validate_policy_reports_missing_ids_in_instance_order():

@@ -288,16 +288,45 @@ def test_reduction_json_roundtrip():
     assert back.alpha == out.alpha
 
 
+@pytest.mark.parametrize("n, seed, constants", [
+    *((n, seed, None) for n in range(1, 7) for seed in (0, 1)),
+    (4, 2, ReductionConstants(alpha_c=F(3, 2), alpha_v_bar=F(1, 2),
+                              alpha_v=F(1, 7), alpha_n=F(2, 9))),
+], ids=[*(f"n{n}-seed{seed}" for n in range(1, 7) for seed in (0, 1)),
+        "n4-alpha-override"])
+def test_reduction_json_roundtrip_seeded_corpus(n, seed, constants):
+    rng = random.Random(seed)
+    m = rng.randint(0, 8) if n >= 3 else 0
+    out = reduce_formula(CnfFormula(n, _random_3cnf(rng, n, m)), constants)
+    blob = reduction_to_json(out)
+    back = reduction_from_json(blob)
+    assert back == out
+    assert reduction_to_json(back) == blob
+
+
+def test_reduction_json_meta_compares_as_json_values():
+    # object keys may come in any order; a value must be the JSON value
+    # reduce writes, so a float 11.0 is not the prime 11
+    out = reduce_formula(CnfFormula(3, CORPUS["mixed3"]))
+    doc = json.loads(reduction_to_json(out))
+    doc["meta"] = dict(reversed(doc["meta"].items()))
+    doc["meta"]["alpha"] = dict(reversed(doc["meta"]["alpha"].items()))
+    assert reduction_from_json(json.dumps(doc)) == out
+    doc["meta"]["pairs"][0][0] = 11.0
+    with pytest.raises(InputError, match=r"meta\.pairs differs"):
+        reduction_from_json(json.dumps(doc))
+
+
 _DROP = object()
 
 
 @pytest.mark.parametrize("path, value, needle", [
-    (("pairs", 0), [11, 2], r"meta\.pairs\[0\]"),
-    (("pairs", 1, 1), "two", r"meta\.pairs\[1\]"),
-    (("pairs", 2, 0), 29.5, r"meta\.pairs\[2\]"),
+    (("pairs", 0), [11, 2], r"meta\.pairs differs"),
+    (("pairs", 1, 1), "two", r"meta\.pairs differs"),
+    (("pairs", 2, 0), 29.5, r"meta\.pairs differs"),
     (("alpha", "alpha_v"), _DROP, "'alpha_v'"),
     (("alpha", "alpha_n"), "-1", "alpha_n must be > 0"),
-    (("pairs",), [], r"meta\.pairs must be a non-empty list"),
+    (("pairs",), [], r"meta\.pairs differs"),
     (("clause_targets",), [1001, 2431], r"meta\.clause_targets"),
     (("clause_targets",), {"1": 7, "2": 11}, r"meta\.clause_targets must map 1\.\.\d"),
     (("clause_targets", "1"), _DROP, r"meta\.clause_targets must map"),
@@ -355,15 +384,23 @@ def _tag_x1_generic(doc):
 
 @pytest.mark.parametrize("edit, needle", [
     (lambda doc: _set_demands(doc, "4"), r"commodity 'y1'"),
-    (_drop_x1, r"commodity 'x1'"),
-    (_tag_x1_generic, r"commodity 'x1'"),
-    (lambda doc: doc["meta"]["pairs"].pop(), r"meta\.clause_targets must map 1\.\.3 to products"),
+    # two variable commodities: the targets are read over two pairs
+    (_drop_x1, r"meta\.clause_targets must map 1\.\.3 to products"),
+    (_tag_x1_generic, r"meta\.clause_targets must map 1\.\.3 to products"),
+    (lambda doc: doc["meta"]["pairs"].pop(), r"meta\.pairs differs"),
     (lambda doc: doc["meta"]["pairs"].__setitem__(0, [13, 4, 17]),
-     r"meta\.pairs\[1\]: 17 must exceed the previous pair's 17"),
+     r"meta\.pairs differs"),
     (lambda doc: doc.update(k0="2"), r"k0 2 differs"),
     (lambda doc: doc["meta"]["clause_targets"].update({"1": 1001}), r"got 1001 for 1"),
+    (lambda doc: doc["meta"]["literal_map"].update({"1": [2, 3]}),
+     r"meta\.literal_map differs"),
+    (lambda doc: doc["meta"].update(note="x"), r"meta\.note differs"),
+    (lambda doc: doc["meta"].update(note=None), r"meta\.note differs"),
+    (lambda doc: doc["meta"].pop("delta"), r"meta\.delta differs"),
+    (lambda doc: doc["meta"]["alpha"].update(alpha_c="1"), r"meta\.alpha differs"),
 ], ids=["demands-4", "x1-dropped", "x1-generic", "two-pairs", "overlapping-pairs",
-        "k0-2", "target-not-literal-primes"])
+        "k0-2", "target-not-literal-primes", "literal-map", "extra-meta-key",
+        "extra-meta-null", "no-delta", "alpha-c-spelled-1"])
 def test_reduction_json_refuses_documents_the_construction_does_not_make(edit, needle):
     doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
     edit(doc)
@@ -371,35 +408,50 @@ def test_reduction_json_refuses_documents_the_construction_does_not_make(edit, n
         reduction_from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("row, needle", [
-    ([12, -2, 10], "gap -2"),
-    ([9, 2, 11], "9 is not prime"),
-    ([23, 2, 25], "25 is not prime"),
-    ([7, -2, 5], "gap -2"),
-    ([11, 0, 11], "gap 0"),
-    ([2, 1, 3], "gap 1"),
-    ([2**64 + 13, 2, 2**64 + 15], "not below 2\\*\\*64"),
-    ([13, 4, 17], "13 must exceed the previous pair's 13"),
-    ([3, 2, 5], "3 must exceed the previous pair's 13"),
-    ([5, 2, 7], "7 is the anchor prime"),
+@pytest.mark.parametrize("row", [
+    [12, -2, 10], [9, 2, 11], [23, 2, 25], [7, -2, 5], [11, 0, 11], [2, 1, 3],
+    [2**64 + 13, 2, 2**64 + 15], [13, 4, 17], [3, 2, 5], [5, 2, 7],
 ], ids=["composite-low-negative-gap", "composite-low", "composite-high",
         "negative-gap", "zero-gap", "odd-gap", "past-the-bound",
         "overlapping", "descending", "anchor-prime"])
-def test_reduction_json_pair_rows_must_be_prime_pairs(row, needle):
+def test_reduction_json_pair_rows_must_be_prime_pairs(row):
+    # the pairs are select_prime_pairs(n)'s, whatever a row says
     doc = json.loads(reduction_to_json(reduce_formula(CnfFormula(3, CORPUS["mixed3"]))))
     doc["meta"]["pairs"][1] = row
-    with pytest.raises(InputError, match=r"meta\.pairs\[1\]: .*" + needle):
+    with pytest.raises(InputError, match=r"meta\.pairs differs from the construction's"):
         reduction_from_json(json.dumps(doc))
 
 
-def test_reduction_json_accepts_a_wider_prime_pair():
-    # a document the shared builder makes over a pair with gap 4 loads
+def _reduce_over(monkeypatch, formula, pairs=None, delta=None):
+    """reduce_formula with its twin pairs or its delta replaced."""
+    with monkeypatch.context() as patch:
+        if pairs is not None:
+            patch.setattr(reduction, "select_prime_pairs", lambda n: pairs)
+        if delta is not None:
+            patch.setattr(reduction, "compute_delta", lambda n, pairs: delta)
+        return reduce_formula(formula)
+
+
+def test_reduction_json_refuses_a_wider_prime_pair(monkeypatch):
+    # a document built over the pair (37, 41) is not one reduce writes
     pairs = (PrimePair(1, 11, 2), PrimePair(2, 17, 2), PrimePair(3, 37, 4))
-    out = reduction._assemble(CORPUS["mixed3"], pairs, compute_delta(3, pairs),
-                              ReductionConstants().resolved(3))
-    back = reduction_from_json(reduction_to_json(out))
-    assert back == out
-    assert back.literal_map[3] == (37, 41)
+    for clauses, needle in ((CORPUS["mixed3"], r"got 9061 for 1"),
+                            ((), r"commodity 'y1'")):
+        out = _reduce_over(monkeypatch, CnfFormula(3, clauses), pairs=pairs)
+        assert out.literal_map[3] == (37, 41)
+        with pytest.raises(InputError, match=needle):
+            reduction_from_json(reduction_to_json(out))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduction_json_refuses_a_foreign_delta(monkeypatch, n):
+    # the drift window and the gap lemma hold for compute_delta's delta
+    # only: at delta = 1/100 the gap inequality fails inside the window
+    clauses = CORPUS["mixed3"] if n == 3 else ()
+    out = _reduce_over(monkeypatch, CnfFormula(n, clauses), delta=F(1, 100))
+    assert out.delta == F(1, 100)
+    with pytest.raises(InputError, match=r"commodity 'y1' differs"):
+        reduction_from_json(reduction_to_json(out))
 
 
 # ---------------------------------------------------------------------------
