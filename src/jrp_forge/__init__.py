@@ -42,7 +42,6 @@ from .sync import (
 from .cost import (
     CostBreakdown,
     decompose,
-    jr_bounds,
     marginal_jr,
     seed_cost,
     total_cost,
@@ -79,6 +78,7 @@ from .reduction import (
     compute_delta,
     default_alpha_v_bar,
     is_prime,
+    jr_bounds,
     policy_to_assignment,
     reduce_formula,
     reduction_from_json,

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cost import CostBreakdown, decompose, jr_bounds, marginal_jr, total_cost
+from .cost import CostBreakdown, decompose, marginal_jr, total_cost
 from .eoq import theta_pair
 from .model import (
     Commodity,
@@ -38,6 +38,7 @@ from .reduction import (
     ReductionConstants,
     assignment_to_policy,
     check_gap_inequality,
+    jr_bounds,
     reduce_formula,
     reduction_to_json,
     verify_roundtrip,
@@ -214,15 +215,12 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # reduce
 
-_ALPHAS = ("alpha_c", "alpha_v_bar", "alpha_v", "alpha_n")
-
-
 def _alpha_from_args(args) -> ReductionConstants:
     kwargs = {}
-    for name in _ALPHAS:
-        if getattr(args, name) is not None:
-            kwargs[name] = parse_rational(getattr(args, name),
-                                          where="--" + name.replace("_", "-"))
+    for f in dataclasses.fields(ReductionConstants):
+        flag = "--" + f.name.replace("_", "-")
+        if getattr(args, f.name) is not None:
+            kwargs[f.name] = parse_rational(getattr(args, f.name), where=flag)
     return ReductionConstants(**kwargs)
 
 
@@ -502,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="compile a 3SAT file to an instance")
     p_reduce.add_argument("cnf")
     p_reduce.add_argument("--out", required=True)
-    for name in _ALPHAS:
-        p_reduce.add_argument("--" + name.replace("_", "-"), default=None)
+    for f in dataclasses.fields(ReductionConstants):
+        p_reduce.add_argument("--" + f.name.replace("_", "-"), default=None)
     p_reduce.add_argument("--digits", type=int, default=12,
                           help="decimal digits in rendered columns")
     p_reduce.set_defaults(func=cmd_reduce)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import sync
 from .eoq import standalone_cost
@@ -32,10 +32,6 @@ from .model import (
     SeedProfile,
     validate_policy,
 )
-
-if TYPE_CHECKING:  # only for annotations; reduction imports this module
-    from .reduction import ReductionConstants
-
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -116,24 +112,6 @@ def marginal_jr(instance: Instance, policy: Policy, commodity_id: str,
     return via_union
 
 
-def jr_bounds(instance: Instance, policy: Policy, commodity_id: str,
-              constants: "ReductionConstants") -> tuple[Fraction, Fraction]:
-    """Closed-form bracket for a variable commodity's marginal rate.
-
-    lb = K0*alpha_v*alpha_n / t and ub = K0*alpha_c / t at the commodity's
-    policy cycle t (the seed is already folded into t). The sandwich
-    lb <= marginal <= ub is asserted by the check suites, not here.
-    """
-    c = instance.commodity(commodity_id)
-    if c.kind is not CommodityKind.VARIABLE:
-        raise InputError(f"jr_bounds applies to variable commodities; "
-                         f"{commodity_id!r} is {c.kind.value}")
-    t = policy.cycle(commodity_id)
-    lb = instance.joint_setup * constants.alpha_v * constants.alpha_n / t
-    ub = instance.joint_setup * constants.alpha_c / t
-    return lb, ub
-
-
 class _ScaledCosts(NamedTuple):
     """An instance's costs as integers over one denominator, the scale S:
     K0 = k0/S, each setup K = s/S and each holding weight lambda*h/2 = w/S.
@@ -207,7 +185,7 @@ def seed_cost(instance: Instance, profile: SeedProfile,
         raise InputError("cannot price an empty instance")
     ks = tuple(profile.multipliers[c.id] for c in instance.commodities)
     for c, k in zip(instance.commodities, ks):
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise InputError(f"multiplier for {c.id!r} must be a positive integer")
     scaled = _scaled_costs(instance)
     a, b, h = _profile_pricer(scaled, cap)(ks)

@@ -121,7 +121,7 @@ def expand_profile(profile: SeedProfile) -> Policy:
     if profile.beta <= 0:
         raise InputError(f"seed must be > 0, got {profile.beta}")
     for cid, k in profile.multipliers.items():
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise InputError(f"multiplier for {cid!r} must be a positive integer, got {k!r}")
     return Policy({cid: profile.beta * k for cid, k in profile.multipliers.items()})
 

@@ -24,12 +24,14 @@ and refuses a document that differs from the rebuild.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
-from .cost import _profile_pricer, _scaled_costs, decompose, total_cost
+from .cost import (_profile_pricer, _require_coverage, _scaled_costs,
+                   decompose, total_cost)
 from .model import (
     Commodity,
     CommodityKind,
@@ -138,6 +140,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=32)     # reduction_from_json and reduce_formula both ask
 def select_prime_pairs(n: int) -> tuple[PrimePair, ...]:
     """First n twin-prime pairs starting at (11, 13); ascending and disjoint."""
     if n < 1:
@@ -239,7 +242,6 @@ class ReductionOutput:
     instance: Instance
     pairs: tuple[PrimePair, ...]
     delta: Fraction
-    literal_map: Mapping[int, tuple[int, int]]      # var index -> (low, high)
     clause_targets: Mapping[int, int]               # clause index (1-based) -> t*
     alpha: ReductionConstants                       # resolved values
     anchor_targets: Mapping[str, int]               # constant/clause id -> t*
@@ -260,9 +262,9 @@ def reduce_formula(formula: CnfFormula,
     alpha = (constants or ReductionConstants()).resolved(n)
     pairs = select_prime_pairs(n)
     delta = compute_delta(n, pairs)
-    for name in ("alpha_c", "alpha_v", "alpha_n", "alpha_v_bar"):
-        if getattr(alpha, name) <= 0:
-            raise ConfigRejected(f"{name} must be > 0, got {getattr(alpha, name)}")
+    for f in fields(alpha):
+        if getattr(alpha, f.name) <= 0:
+            raise ConfigRejected(f"{f.name} must be > 0, got {getattr(alpha, f.name)}")
     commodities: list[Commodity] = []
     anchor_targets: dict[str, int] = {}
 
@@ -279,11 +281,8 @@ def reduce_formula(formula: CnfFormula,
     clause_targets: dict[int, int] = {}
     for j, clause in enumerate(formula.clauses, start=1):
         cid = f"z{j}"
-        target = clause_target(clause, pairs)
-        commodities.append(
-            _anchored_commodity(target, delta, cid, CommodityKind.CLAUSE))
-        clause_targets[j] = target
-        anchor_targets[cid] = target
+        commodities.append(build_clause_commodity(clause, pairs, delta, cid=cid))
+        clause_targets[j] = anchor_targets[cid] = clause_target(clause, pairs)
 
     instance = Instance(
         commodities=tuple(commodities),
@@ -294,7 +293,6 @@ def reduce_formula(formula: CnfFormula,
         instance=instance,
         pairs=pairs,
         delta=delta,
-        literal_map={p.index: (p.low, p.high) for p in pairs},
         clause_targets=clause_targets,
         alpha=alpha,
         anchor_targets=anchor_targets,
@@ -308,12 +306,8 @@ def _meta_dict(pairs, delta, clause_targets, alpha) -> dict:
         "literal_map": {str(p.index): [p.low, p.high] for p in pairs},
         "clause_targets": {str(j): t for j, t in clause_targets.items()},
         "constants_scheme": CONSTANTS_SCHEME,
-        "alpha": {
-            "alpha_c": format_rational(alpha.alpha_c),
-            "alpha_v_bar": format_rational(alpha.alpha_v_bar),
-            "alpha_v": format_rational(alpha.alpha_v),
-            "alpha_n": format_rational(alpha.alpha_n),
-        },
+        "alpha": {f.name: format_rational(getattr(alpha, f.name))
+                  for f in fields(alpha)},
     }
 
 
@@ -372,9 +366,9 @@ def reduction_from_json(data: bytes | str) -> ReductionOutput:
     raw_alpha = _meta_get(meta, "alpha", "meta")
     raw_targets = _meta_get(meta, "clause_targets", "meta")
     alpha = ReductionConstants(**{
-        name: parse_rational(_meta_get(raw_alpha, name, "meta.alpha"),
-                             where=f"meta.alpha.{name}")
-        for name in ("alpha_c", "alpha_v_bar", "alpha_v", "alpha_n")})
+        f.name: parse_rational(_meta_get(raw_alpha, f.name, "meta.alpha"),
+                               where=f"meta.alpha.{f.name}")
+        for f in fields(ReductionConstants)})
     if not isinstance(raw_targets, dict):
         raise InputError("meta.clause_targets must be an object")
     m = len(raw_targets)
@@ -448,7 +442,9 @@ def assignment_to_policy(output: ReductionOutput, assignment: Sequence[bool],
 
 def policy_to_assignment(output: ReductionOutput,
                          policy: Policy) -> tuple[tuple[bool, ...], Fraction]:
-    """Invert assignment_to_policy; rejects policies of any other shape."""
+    """Invert assignment_to_policy; rejects policies of any other shape,
+    first any that validate_policy refuses for the instance."""
+    _require_coverage(output.instance, policy)
     if not output.anchor_targets:
         raise InputError("reduction has no anchor commodities to infer the seed")
     anchor_id, target = next(iter(output.anchor_targets.items()))
@@ -474,16 +470,14 @@ def policy_to_assignment(output: ReductionOutput,
 
 def clause_synchronized(output: ReductionOutput, policy: Policy,
                         clause_index: int) -> bool:
-    """True iff some variable's integer cycle divides the clause target."""
+    """True iff the prime the policy's assignment chose for some variable
+    divides the clause target."""
     if clause_index not in output.clause_targets:
         raise InputError(f"no clause with index {clause_index}")
-    _assignment, beta = policy_to_assignment(output, policy)
+    assignment, _beta = policy_to_assignment(output, policy)
     target = output.clause_targets[clause_index]
-    for pair in output.pairs:
-        q = policy.cycle(output.variable_id(pair.index)) / beta
-        if q.denominator == 1 and target % q.numerator == 0:
-            return True
-    return False
+    return any(target % (pair.high if value else pair.low) == 0
+               for pair, value in zip(output.pairs, assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +626,24 @@ def verify_roundtrip(formula: CnfFormula,
         scope="assignment policies at seed 1 only; the continuous policy "
               "space is out of scope",
     )
+
+
+def jr_bounds(instance: Instance, policy: Policy, commodity_id: str,
+              constants: ReductionConstants) -> tuple[Fraction, Fraction]:
+    """Closed-form bracket for a variable commodity's marginal rate.
+
+    lb = K0*alpha_v*alpha_n / t and ub = K0*alpha_c / t at the commodity's
+    policy cycle t (the seed is already folded into t). The sandwich
+    lb <= marginal <= ub is asserted by the check suites, not here.
+    """
+    c = instance.commodity(commodity_id)
+    if c.kind is not CommodityKind.VARIABLE:
+        raise InputError(f"jr_bounds applies to variable commodities; "
+                         f"{commodity_id!r} is {c.kind.value}")
+    t = policy.cycle(commodity_id)
+    lb = instance.joint_setup * constants.alpha_v * constants.alpha_n / t
+    ub = instance.joint_setup * constants.alpha_c / t
+    return lb, ub
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from jrp_forge.cost import (
     _scaled_costs,
     decompose,
-    jr_bounds,
     marginal_jr,
     seed_cost,
     total_cost,
@@ -22,7 +21,12 @@ from jrp_forge.model import (
     SeedProfile,
     expand_profile,
 )
-from jrp_forge.reduction import ReductionConstants, assignment_to_policy, reduce_formula
+from jrp_forge.reduction import (
+    ReductionConstants,
+    assignment_to_policy,
+    jr_bounds,
+    reduce_formula,
+)
 from jrp_forge.sat import CnfFormula
 from jrp_forge.sync import CapExceeded, ujr
 
@@ -149,6 +153,8 @@ def test_seed_cost_validates():
         seed_cost(single(), SeedProfile({"b": 1}))
     with pytest.raises(InputError):
         seed_cost(single(), SeedProfile({"a": 0}))
+    with pytest.raises(InputError):
+        seed_cost(single(), SeedProfile({"a": True}))    # bool is not a multiplier
     with pytest.raises(InputError):
         seed_cost(Instance((), F(1)), SeedProfile({}))
 

@@ -231,6 +231,8 @@ def test_expand_profile():
     with pytest.raises(InputError):
         expand_profile(SeedProfile({"a": 0}))
     with pytest.raises(InputError):
+        expand_profile(SeedProfile({"a": True}))    # bool is not a multiplier
+    with pytest.raises(InputError):
         expand_profile(SeedProfile({"a": 1}, beta=F(0)))
 
 

@@ -243,7 +243,8 @@ def test_reduce_formula_shape():
     assert [out.anchor_targets[f"y{k}"] for k in range(1, 7)] \
         == [7 * 11, 7 * 13, 7 * 17, 7 * 19, 7 * 29, 7 * 31]
     assert out.clause_targets == {1: 13 * 19 * 31}
-    assert out.literal_map == {1: (11, 13), 2: (17, 19), 3: (29, 31)}
+    assert inst.meta["literal_map"] == {
+        "1": [11, 13], "2": [17, 19], "3": [29, 31]}
 
 
 def test_reduce_formula_anchor_targets_avoid_clause_targets():
@@ -282,7 +283,6 @@ def test_reduction_json_roundtrip():
     assert back.instance == out.instance
     assert back.pairs == out.pairs
     assert back.delta == out.delta
-    assert dict(back.literal_map) == dict(out.literal_map)
     assert dict(back.clause_targets) == dict(out.clause_targets)
     assert dict(back.anchor_targets) == dict(out.anchor_targets)
     assert back.alpha == out.alpha
@@ -438,7 +438,7 @@ def test_reduction_json_refuses_a_wider_prime_pair(monkeypatch):
     for clauses, needle in ((CORPUS["mixed3"], r"got 9061 for 1"),
                             ((), r"commodity 'y1'")):
         out = _reduce_over(monkeypatch, CnfFormula(3, clauses), pairs=pairs)
-        assert out.literal_map[3] == (37, 41)
+        assert (out.pairs[2].low, out.pairs[2].high) == (37, 41)
         with pytest.raises(InputError, match=needle):
             reduction_from_json(reduction_to_json(out))
 
@@ -492,22 +492,38 @@ def test_assignment_policy_roundtrip(n, data):
 
 
 def test_policy_to_assignment_rejects_foreign_shape():
-    out = reduce_formula(CnfFormula(1, ()))
-    pol = assignment_to_policy(out, (False,))
-    twisted = dict(pol.cycles)
-    twisted["x1"] = F(12)  # neither 11 beta nor 13 beta
+    out = reduce_formula(CnfFormula(3, CORPUS["one_pos"]))
+    pol = assignment_to_policy(out, (False, True, False))
     from jrp_forge.model import Policy
 
-    with pytest.raises(InputError):
-        policy_to_assignment(out, Policy(twisted))
+    # neither 11 beta nor 13 beta; float cycles, which would infer a float
+    # seed; a bool cycle; an id the instance does not have
+    for change, needle in (
+            ({"x1": F(12)}, r"x1 cycles at 12, which is neither"),
+            ({cid: float(t) for cid, t in pol.cycles.items()},
+             r"cycle for 'y1' must be an int or Fraction, got float"),
+            ({"x2": True}, r"cycle for 'x2' must be an int or Fraction, got bool"),
+            ({"w9": F(1)}, r"policy names unknown commodity 'w9'")):
+        foreign = Policy({**pol.cycles, **change})
+        with pytest.raises(InputError, match=needle):
+            policy_to_assignment(out, foreign)
+        with pytest.raises(InputError, match=needle):
+            clause_synchronized(out, foreign, 1)
 
 
-def test_clause_synchronized_iff_clause_true():
-    formula = CnfFormula(3, CORPUS["mixed3"])
+@pytest.mark.parametrize("name", ["mixed3", "mixed4"])
+@pytest.mark.parametrize("drift", [F(0), F(1, 2), F(1)],
+                         ids=["seed-1", "mid-window", "window-end"])
+def test_clause_synchronized_iff_clause_true(name, drift):
+    # at the seeds 1, 1 + delta/2 and 1 + delta: every cycle is the seed
+    # times an integer, so only the assignment decides
+    formula = CnfFormula(3, CORPUS[name])
     out = reduce_formula(formula)
+    beta = 1 + drift * out.delta
     for bits in range(8):
         assignment = tuple(bool((bits >> (2 - v)) & 1) for v in range(3))
-        pol = assignment_to_policy(out, assignment)
+        pol = assignment_to_policy(out, assignment, beta)
+        assert policy_to_assignment(out, pol) == (assignment, beta)
         for idx, clause in enumerate(formula.clauses, start=1):
             truth = any(
                 (lit > 0) == assignment[abs(lit) - 1] for lit in clause)
